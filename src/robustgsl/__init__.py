@@ -18,7 +18,7 @@ from .data_io import (
     write_report,
 )
 from .encoder import EncoderConfig, EncoderModel, contrastive_loss, encode, readout, train_encoder
-from .graph import SparseGraph, degrees, edge_degree_histogram, largest_connected_component, renormalized_adjacency
+from .graph import SparseGraph, degrees, renormalized_adjacency
 from .pipeline import (
     PipelineConfig,
     PipelineRun,

@@ -69,25 +69,6 @@ def propagation_matrix(g: SparseGraph, mode: str, alpha: float = 0.0, beta: floa
     raise ValueError(f"unknown classifier mode {mode!r}")
 
 
-def advanced_propagate(
-    g: SparseGraph,
-    h_in: np.ndarray,
-    alpha: float,
-    beta: float,
-    weight: np.ndarray,
-    apply_relu: bool = True,
-) -> np.ndarray:
-    out = spmm(degree_weighted_matrix(g, alpha, beta), h_in) @ weight
-    return relu(out) if apply_relu else out
-
-
-def vanilla_propagate(
-    g: SparseGraph, h_in: np.ndarray, weight: np.ndarray, apply_relu: bool = True
-) -> np.ndarray:
-    out = spmm(renormalized_adjacency(g), h_in) @ weight
-    return relu(out) if apply_relu else out
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)

@@ -10,8 +10,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .attack import AttackBudget, dice_attack, random_attack
 from .classifier import ClassifierConfig, accuracy, predict, train_classifier
 from .data_io import (
@@ -28,17 +26,21 @@ from .data_io import (
     save_graph_bundle,
     write_report,
 )
-from .encoder import EncoderConfig, preactivation, train_encoder
+from .encoder import EncoderConfig, train_encoder
 from .linalg import NumericError
 from .pipeline import (
     SWEEPABLE,
     VARIANTS,
     PipelineConfig,
+    build_views,
     run_experiment,
     run_gcn_baseline,
     sweep,
+    symmetrized,
 )
-from .preprocess import ViewBundle, identical_views, make_views, random_perturb_views, rough_preprocess
+from .preprocess import ViewBundle, rough_preprocess
+# Not called here; perfbench/spans.py still lists these names as call sites of this module.
+from .preprocess import identical_views, make_views, random_perturb_views  # noqa: F401
 from .refine import prune_edges, removal_report, topk_insert
 
 
@@ -112,15 +114,10 @@ def cmd_attack(args) -> int:
 
 def cmd_preprocess(args) -> int:
     bundle = load_graph_bundle(args.in_dir)
+    config = _apply_overrides(PipelineConfig(), args)
     seed = args.seed if args.seed is not None else 0
-    t1 = args.t1 if args.t1 is not None else 0.03
-    base, removed, _ = rough_preprocess(bundle.graph, bundle.features, args.metric, t1)
-    if args.aug == "random":
-        views = random_perturb_views(base, args.recover_p, args.views, seed)
-    elif args.aug == "none":
-        views = identical_views(base, args.views, seed)
-    else:
-        views = make_views(base, removed, args.recover_p, args.views, seed)
+    base, removed, _ = rough_preprocess(bundle.graph, bundle.features, config.metric, config.t1)
+    views = build_views(base, removed, config, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_edges(base, out / "preprocessed_edges.tsv")
@@ -131,17 +128,17 @@ def cmd_preprocess(args) -> int:
         save_edges(view, out / f"view_{j}.tsv")
     write_report(
         {
-            "metric": args.metric,
-            "t1": args.t1,
-            "aug": args.aug or "recovery",
-            "recover_p": args.recover_p,
-            "num_views": args.views,
+            "metric": config.metric,
+            "t1": config.t1,
+            "aug": config.augmentation,
+            "recover_p": config.recover_p,
+            "num_views": config.num_views,
             "seed": seed,
             "edges_removed": len(removed),
         },
         out / "preprocess.json",
     )
-    print(f"pre-process removed {len(removed)} edges; {args.views} views -> {out}")
+    print(f"pre-process removed {len(removed)} edges; {config.num_views} views -> {out}")
     return 0
 
 
@@ -176,10 +173,10 @@ def cmd_embed(args) -> int:
     bundle = load_graph_bundle(args.in_dir)
     views = _load_view_bundle(bundle, args.pre)
     config = EncoderConfig(hidden=args.hidden, lr=args.lr, epochs=args.epochs, patience=args.patience)
-    model, embeddings = train_encoder(views, bundle.features, config, args.seed if args.seed is not None else 0)
+    _, embeddings, z = train_encoder(views, bundle.features, config, args.seed if args.seed is not None else 0)
     save_features(embeddings, args.out)
     z_path = _preactivation_path(args.out)
-    save_features(preactivation(model, bundle.features, views.base), z_path)
+    save_features(z, z_path)
     print(f"embeddings {embeddings.shape[0]}x{embeddings.shape[1]} -> {args.out} (pre-activation -> {z_path})")
     return 0
 
@@ -215,8 +212,6 @@ def cmd_train(args) -> int:
     graph = load_edges(args.graph, n, directed=True) if args.graph else bundle.graph
     h0 = load_features(args.embeddings) if args.embeddings else bundle.features
     if args.mode == "vanilla" and graph.directed:
-        from .pipeline import symmetrized
-
         graph = symmetrized(graph)
     config = ClassifierConfig(
         hidden=args.hidden, lr=args.lr, weight_decay=args.weight_decay, epochs=args.epochs
@@ -308,10 +303,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="robustgsl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_dir=True):
+    defaults = PipelineConfig()
+
+    def common(p, out_required=False):
         p.add_argument("--seed", type=int, default=None)
-        if out_dir:
-            p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", required=out_required, help="output directory")
+
+    def preprocess_options(p):
+        # No defaults here: unset options keep the PipelineConfig value.
+        p.add_argument("--metric", choices=("jaccard", "cosine"), default=None)
+        p.add_argument("--t1", type=float, default=None)
+        p.add_argument("--recover-p", dest="recover_p", type=float, default=None)
+        p.add_argument("--views", dest="num_views", type=int, default=None)
+        p.add_argument("--aug", choices=("recovery", "random", "none"), default=None)
 
     p = sub.add_parser("synth", help="generate a synthetic SBM bundle")
     p.add_argument("--nodes", type=int, default=300)
@@ -328,26 +332,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("random", "dice"), required=True)
     p.add_argument("--ptb-rate", dest="ptb_rate", type=float, required=True)
     p.add_argument("--in", dest="in_dir", required=True)
-    common(p)
+    common(p, out_required=True)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("preprocess", help="similarity pruning and view generation")
     p.add_argument("--in", dest="in_dir", required=True)
-    p.add_argument("--metric", choices=("jaccard", "cosine"), default="jaccard")
-    p.add_argument("--t1", type=float, default=None)
-    p.add_argument("--views", type=int, default=2)
-    p.add_argument("--recover-p", dest="recover_p", type=float, default=0.2)
-    p.add_argument("--aug", choices=("recovery", "random", "none"), default="recovery")
-    common(p)
+    preprocess_options(p)
+    common(p, out_required=True)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("embed", help="train the contrastive encoder")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--pre", required=True, help="preprocess output directory")
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--patience", type=int, default=20)
+    p.add_argument("--hidden", type=int, default=defaults.encoder.hidden)
+    p.add_argument("--lr", type=float, default=defaults.encoder.lr)
+    p.add_argument("--epochs", type=int, default=defaults.encoder.epochs)
+    p.add_argument("--patience", type=int, default=defaults.encoder.patience)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--out", required=True, help="embedding output file; the pre-activation goes beside it"
@@ -363,24 +363,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="embedding file from embed; the pre-activation beside it (<stem>.preact<suffix>) is read",
     )
     p.add_argument(
-        "--t2", type=float, default=0.2, help="prune edges whose pre-activation cosine is at most t2"
+        "--t2", type=float, default=defaults.t2, help="prune edges whose pre-activation cosine is at most t2"
     )
-    p.add_argument("--k", type=int, default=5, help="insert each node's k most similar peers")
+    p.add_argument("--k", type=int, default=defaults.k, help="insert each node's k most similar peers")
     p.add_argument("--clean", default=None, help="clean bundle for the removal audit")
-    common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("train", help="train the classifier")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--graph", default=None, help="directed refined edge list")
     p.add_argument("--embeddings", default=None)
-    p.add_argument("--alpha", type=float, default=0.6)
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=5e-4)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--mode", choices=("advanced", "vanilla"), default="advanced")
+    p.add_argument("--alpha", type=float, default=defaults.alpha)
+    p.add_argument("--beta", type=float, default=defaults.beta)
+    p.add_argument("--hidden", type=int, default=defaults.classifier.hidden)
+    p.add_argument("--lr", type=float, default=defaults.classifier.lr)
+    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=defaults.classifier.weight_decay)
+    p.add_argument("--epochs", type=int, default=defaults.classifier.epochs)
+    p.add_argument("--mode", choices=("advanced", "vanilla"), default=defaults.classifier_mode)
     common(p)
     p.set_defaults(func=cmd_train)
 
@@ -389,11 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--in", dest="in_dir", required=True)
         q.add_argument("--config", default=None)
         q.add_argument("--seeds", type=int, default=1)
-        q.add_argument("--metric", choices=("jaccard", "cosine"), default=None)
-        q.add_argument("--t1", type=float, default=None)
-        q.add_argument("--recover-p", dest="recover_p", type=float, default=None)
-        q.add_argument("--views", dest="num_views", type=int, default=None)
-        q.add_argument("--aug", choices=("recovery", "random", "none"), default=None)
+        preprocess_options(q)
         q.add_argument("--t2", type=float, default=None)
         q.add_argument("--k", type=int, default=None)
         q.add_argument("--alpha", type=float, default=None)

@@ -87,7 +87,7 @@ def load_features(path) -> np.ndarray:
         if len(header) != 2:
             raise BundleFormatError(f"{path}:1: expected header 'N d'")
         n, dim = int(header[0]), int(header[1])
-        rows = []
+        rows, linenos = [], []
         for lineno, line in enumerate(fh, 2):
             if not line.strip():
                 continue
@@ -95,9 +95,14 @@ def load_features(path) -> np.ndarray:
             if len(vals) != dim:
                 raise BundleFormatError(f"{path}:{lineno}: expected {dim} values, got {len(vals)}")
             rows.append([float(v) for v in vals])
+            linenos.append(lineno)
     if len(rows) != n:
         raise BundleFormatError(f"{path}: header says {n} rows, found {len(rows)}")
-    return np.array(rows, dtype=float).reshape(n, dim)
+    x = np.array(rows, dtype=float).reshape(n, dim)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise BundleFormatError(f"{path}:{linenos[bad[0]]}: non-finite value (NaN or inf)")
+    return x
 
 
 def load_graph_bundle(dir_path) -> GraphBundle:
@@ -135,6 +140,9 @@ def load_graph_bundle(dir_path) -> GraphBundle:
         test=[int(i) for i in raw.get("test", [])],
     )
     split.validate(n)
+    unlabelled = [i for i in split.train + split.val + split.test if labels[i] < 0]
+    if unlabelled:
+        raise BundleFormatError(f"{label_path}: split node {unlabelled[0]} has no label")
     return GraphBundle(graph=graph, features=features, labels=labels, split=split)
 
 

@@ -33,9 +33,6 @@ class EncoderConfig:
     epochs: int = 500
     patience: int = 20
     activation: str = "relu"
-    # One shuffled feature matrix for the whole run by default; set True to
-    # redraw the negative permutation every epoch.
-    reshuffle_negatives: bool = False
 
 
 def init_encoder(dim: int, config: EncoderConfig, rng: np.random.Generator) -> EncoderModel:
@@ -83,11 +80,6 @@ def encode(model: EncoderModel, features: np.ndarray, g: SparseGraph) -> np.ndar
 def readout(h_view: np.ndarray) -> np.ndarray:
     """Logistic sigmoid of the column-wise mean; permutation invariant."""
     return sigmoid(h_view.mean(axis=0))
-
-
-def discriminate(model: EncoderModel, h_i: np.ndarray, s_j: np.ndarray) -> float:
-    """Probability that (node, summary) comes from the joint distribution."""
-    return float(sigmoid(np.array(h_i @ model.w_disc @ s_j)))
 
 
 def shuffle_features(features: np.ndarray, seed: int) -> np.ndarray:
@@ -174,10 +166,11 @@ def train_encoder(
     features: np.ndarray,
     config: EncoderConfig,
     seed: int,
-) -> tuple[EncoderModel, np.ndarray]:
+) -> tuple[EncoderModel, np.ndarray, np.ndarray]:
     """Adam loop on the contrastive loss with patience-based early stopping.
 
-    Returns the best-loss model and its embeddings on the base graph.
+    Returns the best-loss model, its embeddings on the base graph and their
+    pre-activation A_hat X W (see ``preactivation``).
     """
     rng = make_rng(seed)
     model = init_encoder(features.shape[1], config, rng)
@@ -185,8 +178,7 @@ def train_encoder(
     a_base = renormalized_adjacency(bundle.base)
     ax_base = spmm(a_base, features)
     ax_views = [spmm(renormalized_adjacency(v), features) for v in bundle.views]
-    shuffle_seed = int(rng.integers(2 ** 63))
-    ax_shuf = spmm(a_base, shuffle_features(features, shuffle_seed))
+    ax_shuf = spmm(a_base, shuffle_features(features, int(rng.integers(2 ** 63))))
 
     params = {"w_enc": model.w_enc, "w_disc": model.w_disc}
     state = adam_init(params, config.lr)
@@ -194,8 +186,6 @@ def train_encoder(
     best_loss = np.inf
     stale = 0
     for epoch in range(config.epochs):
-        if config.reshuffle_negatives and epoch > 0:
-            ax_shuf = spmm(a_base, shuffle_features(features, shuffle_seed + epoch))
         loss, grads = _loss_and_grads(
             params["w_enc"], params["w_disc"], ax_base, ax_shuf, ax_views, config.activation
         )
@@ -212,4 +202,5 @@ def train_encoder(
         params = adam_step(params, grads, state)
 
     model = EncoderModel(w_enc=best["w_enc"], w_disc=best["w_disc"], activation=config.activation)
-    return model, encode(model, features, bundle.base)
+    z = ax_base @ model.w_enc
+    return model, _activate(z, model.activation), z

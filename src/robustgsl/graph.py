@@ -1,8 +1,7 @@
-"""Graph data model plus degree, component, and normalization utilities."""
+"""Graph data model plus degree and normalization utilities."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,59 +65,10 @@ class SparseGraph:
     def edge_set(self) -> set[Edge]:
         return set(self.edges())
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.adj[u, v] != 0
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.adj.indices[self.adj.indptr[i]:self.adj.indptr[i + 1]]
-
 
 def degrees(g: SparseGraph) -> np.ndarray:
     """Neighbor counts excluding self; out-neighbors per row for directed graphs."""
     return np.diff(g.adj.indptr).astype(np.int64)
-
-
-def largest_connected_component(
-    g: SparseGraph,
-    features: np.ndarray,
-    labels: np.ndarray,
-) -> tuple[SparseGraph, np.ndarray, np.ndarray, dict[int, int]]:
-    """Induced subgraph on the largest component, ids remapped densely.
-
-    Ties go to the component containing the smallest original node id.
-    Returns (subgraph, features, labels, old->new id map).
-    """
-    if g.directed:
-        raise ValueError("largest_connected_component expects an undirected graph")
-    if g.num_nodes == 0:
-        raise ValueError("empty graph has no components")
-    comp = np.full(g.num_nodes, -1, dtype=np.int64)
-    n_comp = 0
-    for start in range(g.num_nodes):
-        if comp[start] >= 0:
-            continue
-        comp[start] = n_comp
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if comp[v] < 0:
-                    comp[v] = n_comp
-                    queue.append(v)
-        n_comp += 1
-    sizes = np.bincount(comp, minlength=n_comp)
-    # Components are discovered in order of their minimum node id, so the
-    # first argmax realizes the smallest-min-id tie rule.
-    best = int(np.argmax(sizes))
-    keep = np.flatnonzero(comp == best)
-    mapping = {int(old): new for new, old in enumerate(keep)}
-    new_edges = [
-        (mapping[u], mapping[v])
-        for u, v in g.edges()
-        if u in mapping and v in mapping
-    ]
-    sub = SparseGraph.from_edges(len(keep), new_edges, directed=False)
-    return sub, features[keep], labels[keep], mapping
 
 
 def renormalized_adjacency(g: SparseGraph) -> sp.csr_matrix:
@@ -132,12 +82,3 @@ def renormalized_adjacency(g: SparseGraph) -> sp.csr_matrix:
     out.sort_indices()
     return out
 
-
-def edge_degree_histogram(g: SparseGraph, edges) -> dict[int, int]:
-    """Counts of edges by endpoint-degree sum d_i + d_j, degrees taken on g."""
-    deg = degrees(g)
-    hist: dict[int, int] = {}
-    for u, v in edges:
-        key = int(deg[u] + deg[v])
-        hist[key] = hist.get(key, 0) + 1
-    return hist

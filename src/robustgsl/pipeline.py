@@ -11,9 +11,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .classifier import ClassifierConfig, accuracy, train_classifier
+from .classifier import ClassifierConfig, train_classifier
 from .data_io import GraphBundle, summarize_runs
-from .encoder import EncoderConfig, preactivation, train_encoder
+from .encoder import EncoderConfig, train_encoder
 from .graph import SparseGraph
 from .linalg import make_rng
 from .preprocess import (
@@ -25,14 +25,16 @@ from .preprocess import (
 )
 from .refine import prune_edges, topk_insert
 
-VARIANTS = (
-    "full",             # the complete pipeline
-    "no-preprocess",    # skip rough pre-processing; random view perturbations
-    "no-augmentation",  # views are copies of the pre-processed graph
-    "random-augmentation",  # random edge add/remove views instead of recovery
-    "prune-only",       # no top-k insertion (k forced to 0)
-    "vanilla-classifier",   # classic GCN instead of the degree-reweighted one
-)
+# Each ablation switches off one part of the pipeline through PipelineConfig
+# overrides; "no-preprocess" also skips rough_preprocess (see run_variant).
+VARIANTS = {
+    "full": {},
+    "no-preprocess": {"augmentation": "random"},
+    "no-augmentation": {"augmentation": "none"},  # views are copies of the base graph
+    "random-augmentation": {"augmentation": "random"},  # random add/remove, not recovery
+    "prune-only": {"k": 0},  # no top-k insertion
+    "vanilla-classifier": {"classifier_mode": "vanilla"},  # classic GCN
+}
 
 
 @dataclass
@@ -81,18 +83,9 @@ def symmetrized(g: SparseGraph) -> SparseGraph:
     return SparseGraph.from_edges(g.num_nodes, g.edges(), directed=False)
 
 
-def _build_views(
-    base: SparseGraph,
-    removed: set,
-    config: PipelineConfig,
-    variant: str,
-    seed: int,
-) -> ViewBundle:
+def build_views(base: SparseGraph, removed: set, config: PipelineConfig, seed: int) -> ViewBundle:
+    """The encoder's augmentation views of the pre-processed graph."""
     aug = config.augmentation
-    if variant in ("no-preprocess", "random-augmentation"):
-        aug = "random"
-    elif variant == "no-augmentation":
-        aug = "none"
     if aug == "recovery":
         return make_views(base, removed, config.recover_p, config.num_views, seed)
     if aug == "random":
@@ -106,7 +99,8 @@ def run_variant(
     bundle: GraphBundle, config: PipelineConfig, variant: str, seed: int
 ) -> PipelineRun:
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+        raise ValueError(f"unknown variant {variant!r}, expected one of {tuple(VARIANTS)}")
+    config = replace(config, **VARIANTS[variant])
     rng = make_rng(seed)
     view_seed = int(rng.integers(2 ** 63))
     encoder_seed = int(rng.integers(2 ** 63))
@@ -118,27 +112,24 @@ def run_variant(
     else:
         base, removed, _ = rough_preprocess(g_in, bundle.features, config.metric, config.t1)
 
-    views = _build_views(base, removed, config, variant, view_seed)
-    model, embeddings = train_encoder(views, bundle.features, config.encoder, encoder_seed)
-    # Similarity is taken on the pre-activation: the ReLU embeddings are
+    views = build_views(base, removed, config, view_seed)
+    # Similarity is taken on the pre-activation z: the ReLU embeddings are
     # nonnegative, so their cosines never fall to t2 and refinement would prune
     # nothing. The classifier keeps the activated embeddings as features.
-    z = preactivation(model, bundle.features, base)
+    _, embeddings, z = train_encoder(views, bundle.features, config.encoder, encoder_seed)
 
     retained = prune_edges(base, z, config.t2)
     removed_refine = base.edge_set() - retained.edge_set()
-    k = 0 if variant == "prune-only" else config.k
-    refined = topk_insert(retained, z, k)
+    refined = topk_insert(retained, z, config.k)
 
-    mode = "vanilla" if variant == "vanilla-classifier" else config.classifier_mode
-    clf_graph = symmetrized(refined) if mode == "vanilla" else refined
+    clf_graph = symmetrized(refined) if config.classifier_mode == "vanilla" else refined
     _, test_acc = train_classifier(
         clf_graph,
         embeddings,
         bundle.labels,
         bundle.split,
         config.classifier,
-        mode,
+        config.classifier_mode,
         config.alpha,
         config.beta,
         classifier_seed,

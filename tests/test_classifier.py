@@ -7,13 +7,11 @@ from robustgsl.classifier import (
     ClassifierConfig,
     ClassifierModel,
     accuracy,
-    advanced_propagate,
     classifier_loss_and_grads,
     degree_weighted_matrix,
     predict,
     propagation_matrix,
     train_classifier,
-    vanilla_propagate,
 )
 from robustgsl.data_io import DataSplit, SbmSpec, generate_sbm
 from robustgsl.graph import SparseGraph, degrees, renormalized_adjacency
@@ -95,20 +93,6 @@ class TestPropagation:
     def test_unknown_mode(self, rng):
         with pytest.raises(ValueError, match="unknown"):
             propagation_matrix(random_undirected_graph(5, 0.5, rng), "magic")
-
-    def test_propagate_helpers_match_manual(self, rng):
-        g = random_undirected_graph(10, 0.3, rng)
-        h = rng.normal(size=(10, 4))
-        w = rng.normal(size=(4, 3))
-        manual = degree_weighted_matrix(g, 0.6, 2.0).toarray() @ h @ w
-        np.testing.assert_allclose(
-            advanced_propagate(g, h, 0.6, 2.0, w, apply_relu=False), manual, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            vanilla_propagate(g, h, w, apply_relu=False),
-            renormalized_adjacency(g).toarray() @ h @ w,
-            atol=1e-12,
-        )
 
 
 class TestLossAndGradients:

@@ -144,6 +144,14 @@ class TestStageCommands:
         assert 0.0 <= metrics["test_accuracy"] <= 1.0
 
 
+    def test_preprocess_report_records_applied_defaults(self, poisoned_dir, tmp_path):
+        pre = tmp_path / "pre"
+        assert main(["preprocess", "--in", str(poisoned_dir), "--out", str(pre)]) == 0
+        meta = read_report(pre / "preprocess.json")
+        assert meta["t1"] == 0.03
+        assert (meta["metric"], meta["aug"], meta["num_views"]) == ("jaccard", "recovery", 2)
+
+
 class TestPipelineCommands:
     def test_pipeline_with_baseline(self, poisoned_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -235,6 +243,20 @@ class TestErrorExitCodes:
     def test_invalid_threshold_value(self, poisoned_dir):
         # recover_p outside [0, 1] is a configuration error
         assert main(["pipeline", "--in", str(poisoned_dir), "--recover-p", "2.0"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attack", "--method", "random", "--ptb-rate", "0.1"],
+            ["preprocess"],
+            ["refine", "--pre", "pre", "--embeddings", "emb.txt"],
+        ],
+    )
+    def test_out_is_required(self, poisoned_dir, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--in", str(poisoned_dir)])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
 
     def test_corrupt_bundle_file(self, clean_dir, tmp_path, capsys):
         import shutil

@@ -53,6 +53,18 @@ class TestBundleIo:
         with pytest.raises(BundleFormatError, match="features.txt:3"):
             load_graph_bundle(tmp_path)
 
+    def test_non_finite_feature_rejected(self, tmp_path):
+        save_graph_bundle(toy_bundle(), tmp_path)
+        (tmp_path / "features.txt").write_text("3 2\n1 0\n0.5 nan\n0 inf\n")
+        with pytest.raises(BundleFormatError, match="features.txt:3"):
+            load_graph_bundle(tmp_path)
+
+    def test_unlabelled_split_node_rejected(self, tmp_path):
+        save_graph_bundle(toy_bundle(), tmp_path)
+        (tmp_path / "labels.tsv").write_text("0\t0\n2\t1\n")
+        with pytest.raises(BundleFormatError, match="node 1 has no label"):
+            load_graph_bundle(tmp_path)
+
     def test_missing_file_rejected(self, tmp_path):
         save_graph_bundle(toy_bundle(), tmp_path)
         (tmp_path / "labels.tsv").unlink()

@@ -6,7 +6,6 @@ from robustgsl.encoder import (
     EncoderConfig,
     EncoderModel,
     contrastive_loss,
-    discriminate,
     encode,
     init_encoder,
     preactivation,
@@ -85,18 +84,6 @@ class TestEncodeReadout:
         np.testing.assert_allclose(readout(h), readout(h[perm]), atol=1e-15)
 
 
-class TestDiscriminator:
-    def test_matches_bilinear_formula(self, rng):
-        model = init_encoder(3, EncoderConfig(hidden=4), rng)
-        h_i, s_j = rng.normal(size=4), rng.normal(size=4)
-        expected = float(sigmoid(np.array(h_i @ model.w_disc @ s_j)))
-        assert discriminate(model, h_i, s_j) == pytest.approx(expected)
-
-    def test_zero_weight_gives_half(self):
-        model = EncoderModel(w_enc=np.zeros((3, 4)), w_disc=np.zeros((4, 4)))
-        assert discriminate(model, np.ones(4), np.ones(4)) == 0.5
-
-
 class TestShuffleFeatures:
     def test_is_row_permutation(self, rng):
         x = rng.normal(size=(20, 5))
@@ -149,7 +136,7 @@ class TestTrainEncoder:
     def test_loss_decreases(self):
         _, bundle, x, _ = small_instance(n=8, d=5, h=4)
         config = EncoderConfig(hidden=4, epochs=100, patience=100)
-        model, _ = train_encoder(bundle, x, config, seed=0)
+        model, _, _ = train_encoder(bundle, x, config, seed=0)
         init = init_encoder(5, config, make_rng(0))
         shuf = shuffle_features(x, 0)
         l_init, _ = contrastive_loss(init, bundle.base, bundle.views, x, shuf)
@@ -159,7 +146,7 @@ class TestTrainEncoder:
     def test_zero_epochs_returns_init(self):
         _, bundle, x, _ = small_instance()
         config = EncoderConfig(hidden=4, epochs=0)
-        model, emb = train_encoder(bundle, x, config, seed=3)
+        model, emb, _ = train_encoder(bundle, x, config, seed=3)
         expected = init_encoder(5, config, make_rng(3))
         np.testing.assert_array_equal(model.w_enc, expected.w_enc)
         np.testing.assert_array_equal(emb, encode(model, x, bundle.base))
@@ -167,12 +154,12 @@ class TestTrainEncoder:
     def test_deterministic(self):
         _, bundle, x, _ = small_instance()
         config = EncoderConfig(hidden=4, epochs=30)
-        a, ea = train_encoder(bundle, x, config, seed=9)
-        b, eb = train_encoder(bundle, x, config, seed=9)
+        a, ea, _ = train_encoder(bundle, x, config, seed=9)
+        b, eb, _ = train_encoder(bundle, x, config, seed=9)
         np.testing.assert_array_equal(a.w_enc, b.w_enc)
         np.testing.assert_array_equal(ea, eb)
 
     def test_embedding_shape(self):
         _, bundle, x, _ = small_instance()
-        _, emb = train_encoder(bundle, x, EncoderConfig(hidden=6, epochs=10), seed=1)
+        _, emb, _ = train_encoder(bundle, x, EncoderConfig(hidden=6, epochs=10), seed=1)
         assert emb.shape == (8, 6)

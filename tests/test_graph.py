@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_undirected_graph
-from robustgsl.graph import (
-    SparseGraph,
-    degrees,
-    edge_degree_histogram,
-    largest_connected_component,
-    renormalized_adjacency,
-)
+from robustgsl.graph import SparseGraph, degrees, renormalized_adjacency
 
 
 class TestSparseGraph:
@@ -45,49 +39,6 @@ class TestDegrees:
             assert degrees(g).sum() == 2 * g.num_edges
 
 
-class TestLcc:
-    def test_keeps_largest(self):
-        g = SparseGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-        x = np.arange(10, dtype=float).reshape(5, 2)
-        y = np.array([0, 1, 0, 1, 0])
-        sub, xs, ys, mapping = largest_connected_component(g, x, y)
-        assert sub.num_nodes == 3
-        assert mapping == {0: 0, 1: 1, 2: 2}
-        np.testing.assert_array_equal(xs, x[:3])
-        np.testing.assert_array_equal(ys, y[:3])
-
-    def test_connected_identity(self):
-        g = SparseGraph.from_edges(3, [(0, 1), (1, 2)])
-        sub, _, _, mapping = largest_connected_component(g, np.zeros((3, 1)), np.zeros(3, dtype=int))
-        assert mapping == {0: 0, 1: 1, 2: 2}
-        assert sub.edges() == g.edges()
-
-    def test_tie_goes_to_smallest_id(self):
-        g = SparseGraph.from_edges(4, [(0, 1), (2, 3)])
-        _, _, _, mapping = largest_connected_component(g, np.zeros((4, 1)), np.zeros(4, dtype=int))
-        assert set(mapping) == {0, 1}
-
-    def test_empty_rejected(self):
-        g = SparseGraph.from_edges(0, [])
-        with pytest.raises(ValueError):
-            largest_connected_component(g, np.zeros((0, 1)), np.zeros(0, dtype=int))
-
-    def test_matches_bruteforce_component_sizes(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(5, 200))
-            g = random_undirected_graph(n, 0.02, rng)
-            sub, _, _, _ = largest_connected_component(
-                g, np.zeros((n, 1)), np.zeros(n, dtype=int)
-            )
-            # brute-force union of reachable sets
-            reach = {i: {i} for i in range(n)}
-            for u, v in g.edges():
-                merged = reach[u] | reach[v]
-                for w in merged:
-                    reach[w] = merged
-            assert sub.num_nodes == max(len(s) for s in reach.values())
-
-
 class TestRenormalizedAdjacency:
     def test_isolated_node_diagonal_one(self):
         g = SparseGraph.from_edges(2, [])
@@ -122,16 +73,3 @@ class TestRenormalizedAdjacency:
                 renormalized_adjacency(g).toarray(), dinv @ dense @ dinv, atol=1e-12
             )
 
-
-class TestEdgeDegreeHistogram:
-    def test_triangle(self):
-        g = SparseGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        assert edge_degree_histogram(g, g.edges()) == {4: 3}
-
-    def test_path(self):
-        g = SparseGraph.from_edges(3, [(0, 1), (1, 2)])
-        assert edge_degree_histogram(g, g.edges()) == {3: 2}
-
-    def test_star(self):
-        g = SparseGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert edge_degree_histogram(g, g.edges()) == {4: 3}
