@@ -90,18 +90,16 @@ def random_attack(
     record = PerturbationRecord()
     n = g.num_nodes
     deletable = sorted(clean)
-    present = set(clean)
+    # Every clean edge and every addition: removed edges are not re-added.
+    forbidden = set(clean)
     while record.num_changes < target:
         want_add = rng.random() < add_fraction
-        forbidden = present | record.added | record.removed
         added = None
         if want_add:
             added = _sample_nonedge(rng, n, forbidden)
         if added is None and deletable:
             idx = int(rng.integers(len(deletable)))
-            e = deletable.pop(idx)
-            record.removed.add(e)
-            present.discard(e)
+            record.removed.add(deletable.pop(idx))
             continue
         if added is None and not want_add:
             added = _sample_nonedge(rng, n, forbidden)
@@ -111,7 +109,7 @@ def random_attack(
                 f"after {record.num_changes} changes"
             )
         record.added.add(added)
-        present.add(added)
+        forbidden.add(added)
     return apply_perturbation(g, record), record
 
 
@@ -138,7 +136,7 @@ def dice_attack(
         order = ("add", "del") if want_add else ("del", "add")
         for move in order:
             if move == "add":
-                e = _sample_nonedge(rng, n, present | record.added, labels=labels)
+                e = _sample_nonedge(rng, n, present, labels=labels)
                 if e is not None:
                     record.added.add(e)
                     present.add(e)

@@ -75,11 +75,43 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward(q: sp.csr_matrix, h0: np.ndarray, w1: np.ndarray, w2: np.ndarray):
-    z1 = spmm(q, h0) @ w1
+def _forward(q: sp.csr_matrix, qh0: np.ndarray, w1: np.ndarray, w2: np.ndarray):
+    """Both layers, given the first propagation qh0 = q @ h0."""
+    z1 = qh0 @ w1
     h1 = relu(z1)
     logits = spmm(q, h1) @ w2
     return z1, h1, logits
+
+
+def _loss_and_grads(
+    forward: tuple[np.ndarray, np.ndarray, np.ndarray],
+    w1: np.ndarray,
+    w2: np.ndarray,
+    qt: sp.csr_matrix,
+    qh0: np.ndarray,
+    labels: np.ndarray,
+    node_ids: np.ndarray,
+    weight_decay: float,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """classifier_loss_and_grads given _forward's output at (w1, w2), qt = q.T
+    and qh0 = q @ h0, so a training loop computes each of them once."""
+    z1, h1, logits = forward
+    probs = _softmax(logits[node_ids])
+    picked = probs[np.arange(len(node_ids)), labels[node_ids]]
+    loss = -np.log(np.clip(picked, 1e-12, None)).mean()
+    loss += 0.5 * weight_decay * (np.sum(w1 * w1) + np.sum(w2 * w2))
+
+    d_logits = np.zeros_like(logits)
+    grad = probs.copy()
+    grad[np.arange(len(node_ids)), labels[node_ids]] -= 1.0
+    d_logits[node_ids] = grad / len(node_ids)
+
+    qt_dl = spmm(qt, d_logits)
+    d_w2 = h1.T @ qt_dl + weight_decay * w2
+    d_h1 = qt_dl @ w2.T
+    d_z1 = d_h1 * (z1 > 0)
+    d_w1 = qh0.T @ d_z1 + weight_decay * w1
+    return float(loss), {"w1": d_w1, "w2": d_w2}
 
 
 def classifier_loss_and_grads(
@@ -92,28 +124,14 @@ def classifier_loss_and_grads(
     weight_decay: float,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over node_ids plus L2 on both layer weights."""
-    z1, h1, logits = _forward(q, h0, w1, w2)
-    probs = _softmax(logits[node_ids])
-    picked = probs[np.arange(len(node_ids)), labels[node_ids]]
-    loss = -np.log(np.clip(picked, 1e-12, None)).mean()
-    loss += 0.5 * weight_decay * (np.sum(w1 * w1) + np.sum(w2 * w2))
-
-    d_logits = np.zeros_like(logits)
-    grad = probs.copy()
-    grad[np.arange(len(node_ids)), labels[node_ids]] -= 1.0
-    d_logits[node_ids] = grad / len(node_ids)
-
-    qt_dl = spmm(q.T.tocsr(), d_logits)
-    d_w2 = h1.T @ qt_dl + weight_decay * w2
-    d_h1 = qt_dl @ w2.T
-    d_z1 = d_h1 * (z1 > 0)
-    d_w1 = spmm(q, h0).T @ d_z1 + weight_decay * w1
-    return float(loss), {"w1": d_w1, "w2": d_w2}
+    qh0 = spmm(q, h0)
+    forward = _forward(q, qh0, w1, w2)
+    return _loss_and_grads(forward, w1, w2, q.T.tocsr(), qh0, labels, node_ids, weight_decay)
 
 
 def logits_of(model: ClassifierModel, g: SparseGraph, h0: np.ndarray) -> np.ndarray:
     q = propagation_matrix(g, model.mode, model.alpha, model.beta)
-    return _forward(q, h0, model.w1, model.w2)[2]
+    return _forward(q, spmm(q, h0), model.w1, model.w2)[2]
 
 
 def predict(model: ClassifierModel, g: SparseGraph, h0: np.ndarray) -> np.ndarray:
@@ -154,20 +172,25 @@ def train_classifier(
         "w2": glorot(config.hidden, num_classes, rng),
     }
     q = propagation_matrix(g, mode, alpha, beta)
+    qt = q.T.tocsr()
+    qh0 = spmm(q, h0)
     train_ids = np.asarray(split.train, dtype=np.int64)
     val_ids = np.asarray(split.val, dtype=np.int64)
     state = adam_init(params, config.lr)
     best = {k: v.copy() for k, v in params.items()}
     best_val = -1.0
+    forward = _forward(q, qh0, params["w1"], params["w2"])
     for epoch in range(config.epochs):
-        loss, grads = classifier_loss_and_grads(
-            params["w1"], params["w2"], q, h0, labels, train_ids, config.weight_decay
+        loss, grads = _loss_and_grads(
+            forward, params["w1"], params["w2"], qt, qh0, labels, train_ids, config.weight_decay
         )
         if not np.isfinite(loss):
             raise NumericError(f"classifier loss diverged at epoch {epoch}")
         params = adam_step(params, grads, state)
+        # Validation and the next epoch's loss share this forward pass.
+        forward = _forward(q, qh0, params["w1"], params["w2"])
         if val_ids.size:
-            logits = _forward(q, h0, params["w1"], params["w2"])[2]
+            logits = forward[2]
             val_acc = float(np.mean(np.argmax(logits[val_ids], axis=1) == labels[val_ids]))
             if val_acc > best_val:
                 best_val = val_acc
@@ -176,5 +199,7 @@ def train_classifier(
         warnings.warn("empty validation split; using the last-epoch model", stacklevel=2)
         best = params
     model = ClassifierModel(w1=best["w1"], w2=best["w2"], mode=mode, alpha=alpha, beta=beta)
-    test_acc = accuracy(predict(model, g, h0), labels, split.test) if split.test else float("nan")
-    return model, test_acc
+    if not split.test:
+        return model, float("nan")
+    test_pred = np.argmax(_forward(q, qh0, model.w1, model.w2)[2], axis=1)
+    return model, accuracy(test_pred, labels, split.test)

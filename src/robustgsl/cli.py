@@ -187,7 +187,10 @@ def cmd_refine(args) -> int:
     # Similarity is taken on the pre-activation, as in run_pipeline; there is
     # no fallback to the embeddings, whose cosines never fall to t2. A missing
     # file exits with code 2 and names it.
-    z = load_features(_preactivation_path(args.embeddings))
+    z_path = _preactivation_path(args.embeddings)
+    z = load_features(z_path)
+    if z.shape[0] != bundle.graph.num_nodes:
+        raise ConfigError(f"{z_path}: {z.shape[0]} rows, but the graph has {bundle.graph.num_nodes} nodes")
     retained = prune_edges(views.base, z, args.t2)
     refined = topk_insert(retained, z, args.k)
     out = Path(args.out)

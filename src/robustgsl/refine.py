@@ -21,41 +21,78 @@ def embedding_similarity(h: np.ndarray, i: int, j: int) -> float:
     return float(np.dot(h[i], h[j]) / (ni * nj))
 
 
+# Rows of the cosine matrix that topk_insert holds at a time: a block is
+# _TOPK_BLOCK x n floats (12 MB at n=3000). A graph of at most this many nodes
+# is one block, the same single product as the full matrix.
+_TOPK_BLOCK = 512
+
+
+def _similarity_block(hn: np.ndarray, lo: int) -> np.ndarray:
+    """The block of cosine rows from lo, given the row-normalized embeddings."""
+    return hn[lo : lo + _TOPK_BLOCK] @ hn.T
+
+
 def similarity_matrix(h: np.ndarray) -> np.ndarray:
-    """Full pairwise cosine matrix (zero rows give zero similarity)."""
+    """Full pairwise cosine matrix (zero rows give zero similarity), stacked
+    from the row blocks that topk_insert ranks."""
     hn = _normalized_rows(h)
-    return hn @ hn.T
+    return np.vstack([_similarity_block(hn, lo) for lo in range(0, max(len(hn), 1), _TOPK_BLOCK)])
+
+
+def _check_rows(g: SparseGraph, h: np.ndarray) -> None:
+    if h.shape[0] != g.num_nodes:
+        raise ValueError(f"embedding rows {h.shape[0]} != node count {g.num_nodes}")
 
 
 def prune_edges(g: SparseGraph, h: np.ndarray, t2: float) -> SparseGraph:
     """Keep an edge only when its embedding similarity strictly exceeds t2."""
+    _check_rows(g, h)
     kept = [e for e in g.edges() if embedding_similarity(h, e[0], e[1]) > t2]
     return SparseGraph.from_edges(g.num_nodes, kept)
+
+
+def _topk_columns(sim: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) pairs of each row's kk largest entries, ties to the
+    smaller column: the first kk of the row sorted by (-sim, column)."""
+    n = sim.shape[1]
+    # The list index copies the column, so the partitioned block is freed.
+    kth = np.partition(sim, n - kk, axis=1)[:, [n - kk]]
+    above = sim > kth
+    at = sim == kth
+    take = above | at
+    # Where more entries tie with the kk-th largest than places are left, the
+    # places go to the smallest ids.
+    over = np.flatnonzero(take.sum(axis=1) > kk)
+    if over.size:
+        need = kk - above[over].sum(axis=1, keepdims=True)
+        take[over] = above[over] | (at[over] & (np.cumsum(at[over], axis=1) <= need))
+    return np.nonzero(take)
 
 
 def topk_insert(retained: SparseGraph, h: np.ndarray, k: int) -> SparseGraph:
     """Directed union of the retained edges with each node's k most similar peers.
 
-    Ties break toward the smaller candidate id. The result is directed: row i
+    Ties break toward the smaller candidate id. The cosines are ranked in
+    blocks of rows, so no n x n matrix is held. The result is directed: row i
     lists the aggregation sources of node i.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    _check_rows(retained, h)
     n = retained.num_nodes
     edges: set[tuple[int, int]] = set()
     for u, v in retained.edges():
         edges.add((u, v))
         edges.add((v, u))
     if k > 0 and n > 1:
-        sim = similarity_matrix(h)
-        np.fill_diagonal(sim, -np.inf)
+        hn = _normalized_rows(h)
         kk = min(k, n - 1)
-        # lexsort: primary key descending similarity, secondary ascending id.
-        ids = np.arange(n)
-        for i in range(n):
-            order = np.lexsort((ids, -sim[i]))
-            for j in order[:kk]:
-                edges.add((i, int(j)))
+        for lo in range(0, n, _TOPK_BLOCK):
+            sim = _similarity_block(hn, lo)
+            rows = np.arange(sim.shape[0])
+            sim[rows, lo + rows] = -np.inf
+            src, dst = _topk_columns(sim, kk)
+            edges.update(zip((src + lo).tolist(), dst.tolist()))
     return SparseGraph.from_edges(n, sorted(edges), directed=True)
 
 

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,32 @@ class TestDiceAttack:
         lab = np.array([0, 1, -1, 0, 1, 0, 1, 0, 1, 0])
         with pytest.raises(ValueError):
             dice_attack(g, lab, AttackBudget(0.1, 0))
+
+
+def _digest(edges) -> str:
+    return hashlib.sha256(json.dumps(sorted(edges)).encode()).hexdigest()
+
+
+class TestDrawSequences:
+    """Pinned outputs on the acceptance battery graph. PCG64 draws are the
+    same on every platform, so a digest changes only when an attack consumes
+    its random draws differently."""
+
+    @pytest.fixture(scope="class")
+    def battery(self):
+        return generate_sbm(SbmSpec(300, 3, 0.1, 0.005, 100, 10, 0.01, seed=1))
+
+    def test_dice_seed_51(self, battery):
+        _, record = dice_attack(battery.graph, battery.labels, AttackBudget(0.2, 51))
+        assert (len(record.added), len(record.removed)) == (169, 159)
+        assert _digest(record.added) == "f6bd88069309eba9ccd0dd969bf0214c2caf4c674a7a67c872e7325d344eeae5"
+        assert _digest(record.removed) == "1968b279dc6c9c1f8ffe082df0cdbad07a0e77a1639d76118e5013c87dcbceec"
+
+    def test_random_seed_51(self, battery):
+        _, record = random_attack(battery.graph, AttackBudget(0.2, 51))
+        assert (len(record.added), len(record.removed)) == (171, 157)
+        assert _digest(record.added) == "a7f176eaf34c7d528010a46b3d312bda12d23bc6ffad25c61374112dd6b0846c"
+        assert _digest(record.removed) == "72b2c1e4cdd646e78b797f9f67b262c01b6043b548cea5dd4c46f7bc2c8a90bc"
 
 
 class TestPerturbationDiff:

@@ -15,7 +15,33 @@ from robustgsl.classifier import (
 )
 from robustgsl.data_io import DataSplit, SbmSpec, generate_sbm
 from robustgsl.graph import SparseGraph, degrees, renormalized_adjacency
-from robustgsl.linalg import grad_check, make_rng
+from robustgsl.linalg import adam_init, adam_step, glorot, grad_check, make_rng
+
+
+def reference_train(g, h0, labels, split, config, mode, alpha, beta, seed):
+    """train_classifier as a plain loop over the public API: every epoch calls
+    classifier_loss_and_grads, then adam_step, then predicts the validation
+    nodes, so nothing is carried from one epoch to the next."""
+    rng = make_rng(seed)
+    params = {
+        "w1": glorot(h0.shape[1], config.hidden, rng),
+        "w2": glorot(config.hidden, int(labels.max()) + 1, rng),
+    }
+    q = propagation_matrix(g, mode, alpha, beta)
+    train_ids = np.asarray(split.train, dtype=np.int64)
+    state = adam_init(params, config.lr)
+    best, best_val = params, -1.0
+    for _ in range(config.epochs):
+        _, grads = classifier_loss_and_grads(
+            params["w1"], params["w2"], q, h0, labels, train_ids, config.weight_decay
+        )
+        params = adam_step(params, grads, state)
+        model = ClassifierModel(params["w1"], params["w2"], mode, alpha, beta)
+        val_acc = accuracy(predict(model, g, h0), labels, split.val)
+        if val_acc > best_val:
+            best, best_val = {k: v.copy() for k, v in params.items()}, val_acc
+    model = ClassifierModel(best["w1"], best["w2"], mode, alpha, beta)
+    return model, accuracy(predict(model, g, h0), labels, split.test)
 
 
 def dense_degree_oracle(g, alpha, beta):
@@ -196,6 +222,16 @@ class TestTrainClassifier:
         b = train_classifier(sbm.graph, sbm.features, sbm.labels, sbm.split, config, **kwargs)
         np.testing.assert_array_equal(a[0].w1, b[0].w1)
         assert a[1] == b[1]
+
+    @pytest.mark.parametrize("mode, alpha, beta", [("advanced", 0.6, 2.0), ("vanilla", 0.0, 0.0)])
+    def test_bitwise_equal_to_reference_loop(self, sbm, mode, alpha, beta):
+        args = (sbm.graph, sbm.features, sbm.labels, sbm.split, ClassifierConfig(epochs=60),
+                mode, alpha, beta, 7)
+        model, acc = train_classifier(*args)
+        ref_model, ref_acc = reference_train(*args)
+        np.testing.assert_array_equal(model.w1, ref_model.w1)
+        np.testing.assert_array_equal(model.w2, ref_model.w2)
+        assert acc == ref_acc
 
     def test_empty_train_rejected(self, sbm):
         split = DataSplit(train=[], val=[0], test=[1])

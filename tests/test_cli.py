@@ -3,7 +3,8 @@ import json
 import pytest
 
 from robustgsl.cli import main
-from robustgsl.data_io import load_features, load_graph_bundle, read_report
+from robustgsl.data_io import load_features, load_graph_bundle, read_report, save_features
+from robustgsl.linalg import make_rng
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +258,20 @@ class TestErrorExitCodes:
             main(argv + ["--in", str(poisoned_dir)])
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [59, 61])
+    def test_refine_preactivation_row_count(self, poisoned_dir, tmp_path, rows, capsys):
+        # The bundle has 60 nodes; one pre-activation row per node is required.
+        pre = tmp_path / "pre"
+        assert main(["preprocess", "--in", str(poisoned_dir), "--out", str(pre)]) == 0
+        emb, preact = tmp_path / "emb.txt", tmp_path / "emb.preact.txt"
+        z = make_rng(0).normal(size=(rows, 4))
+        save_features(z, emb)
+        save_features(z, preact)
+        capsys.readouterr()
+        argv = ["refine", "--in", str(poisoned_dir), "--pre", str(pre), "--embeddings", str(emb)]
+        assert main(argv + ["--out", str(tmp_path / "refined")]) == 2
+        assert str(preact) in capsys.readouterr().err
 
     def test_corrupt_bundle_file(self, clean_dir, tmp_path, capsys):
         import shutil

@@ -4,6 +4,7 @@ import pytest
 from conftest import random_undirected_graph
 from robustgsl.graph import SparseGraph
 from robustgsl.refine import (
+    _TOPK_BLOCK,
     embedding_similarity,
     prune_edges,
     removal_report,
@@ -97,6 +98,36 @@ class TestTopkInsert:
         h = rng.normal(size=(4, 3))
         out = topk_insert(SparseGraph.from_edges(4, []), h, 10)
         assert out.adj.nnz == 4 * 3  # complete directed graph, no self-loops
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_matches_sort_oracle_across_row_blocks(self, k, rng):
+        # Three row blocks; 3-dim embeddings rounded to one decimal repeat
+        # directions, so many rows tie at their k-th place, and zero rows tie
+        # with everything at similarity 0.
+        n = 2 * _TOPK_BLOCK + 77
+        h = np.round(rng.normal(size=(n, 3)), 1)
+        h[::97] = 0.0
+        g = random_undirected_graph(n, 2.0 / n, rng)
+        out = topk_insert(g, h, k)
+        sim = similarity_matrix(h)
+        expected = {e for u, v in g.edges() for e in ((u, v), (v, u))}
+        tied_rows = set()
+        for i in range(n):
+            order = sorted((j for j in range(n) if j != i), key=lambda j: (-sim[i, j], j))
+            expected |= {(i, j) for j in order[:k]}
+            if sim[i, order[k - 1]] == sim[i, order[k]]:
+                tied_rows.add(i // _TOPK_BLOCK)
+        assert tied_rows == {0, 1, 2}  # the tie rule is exercised in every block
+        assert out.edge_set() == expected
+
+    @pytest.mark.parametrize("rows", [9, 11])
+    def test_embedding_row_count_checked(self, rows, rng):
+        g = random_undirected_graph(10, 0.3, rng)
+        h = rng.normal(size=(rows, 3))
+        with pytest.raises(ValueError, match="node count 10"):
+            prune_edges(g, h, 0.1)
+        with pytest.raises(ValueError, match="node count 10"):
+            topk_insert(g, h, 2)
 
     def test_negative_k_rejected(self, rng):
         with pytest.raises(ValueError):
