@@ -27,6 +27,7 @@ from .data_io import (
     write_report,
 )
 from .encoder import EncoderConfig, train_encoder
+from .graph import SparseGraph, edge_difference, edge_tuples
 from .linalg import NumericError
 from .pipeline import (
     SWEEPABLE,
@@ -116,14 +117,12 @@ def cmd_preprocess(args) -> int:
     bundle = load_graph_bundle(args.in_dir)
     config = _apply_overrides(PipelineConfig(), args)
     seed = args.seed if args.seed is not None else 0
-    base, removed, _ = rough_preprocess(bundle.graph, bundle.features, config.metric, config.t1)
+    base, removed = rough_preprocess(bundle.graph, bundle.features, config.metric, config.t1)
     views = build_views(base, removed, config, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_edges(base, out / "preprocessed_edges.tsv")
-    with (out / "removed_edges.tsv").open("w") as fh:
-        for u, v in sorted(removed):
-            fh.write(f"{u}\t{v}\n")
+    save_edges(SparseGraph.from_edges(base.num_nodes, removed), out / "removed_edges.tsv")
     for j, view in enumerate(views.views):
         save_edges(view, out / f"view_{j}.tsv")
     write_report(
@@ -198,7 +197,7 @@ def cmd_refine(args) -> int:
     save_edges(refined, out / "refined_edges.tsv")
     if args.clean:
         clean = load_graph_bundle(args.clean)
-        removed = views.removed | (views.base.edge_set() - retained.edge_set())
+        removed = views.removed | edge_tuples(edge_difference(views.base, retained))
         report = removal_report(clean.graph, bundle.graph, removed, bundle.labels)
         write_report(report, out / "removal_report.json")
         print(f"removal accuracy {report['accuracy']:.4f} over {report['total']} removals")

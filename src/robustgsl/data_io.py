@@ -4,6 +4,9 @@ stochastic-block-model generation, and JSON report writing."""
 from __future__ import annotations
 
 import json
+import math
+import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,31 +53,69 @@ class GraphBundle:
     split: DataSplit
 
 
-def _read_edge_file(path: Path, num_nodes: int | None = None) -> list[tuple[int, int]]:
-    if not path.exists():
-        raise BundleFormatError(f"missing file: {path}")
-    edges = []
+# A check names what is wrong with one line's fields, or returns None.
+LineCheck = Callable[[str, list[str]], str | None]
+
+
+def _line_error(path: Path, check: LineCheck, comments: bool, start: int) -> BundleFormatError:
+    """The error for the first line of path, from line ``start`` on, that
+    ``check`` rejects. It runs only after a bulk parse or check has failed."""
     with path.open() as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
+            if lineno < start:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise BundleFormatError(f"{path}:{lineno}: expected 'u<TAB>v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise BundleFormatError(f"{path}:{lineno}: non-integer node id in {line!r}") from None
-            if num_nodes is not None and not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise BundleFormatError(f"{path}:{lineno}: node id out of range in {line!r}")
-            edges.append((u, v))
+            line = (line.split("#", 1)[0] if comments else line).strip()
+            problem = check(line, line.split()) if line else None
+            if problem:
+                return BundleFormatError(f"{path}:{lineno}: {problem}")
+    return BundleFormatError(f"{path}: a value is not a plain decimal number")
+
+
+def _read_table(
+    path: Path, dtype, columns: int, check: LineCheck, comments: bool = True, start: int = 1
+) -> np.ndarray:
+    """The whitespace-separated numbers of path from line ``start`` on, as a
+    (rows, columns) array parsed by numpy's C reader; blank lines are skipped,
+    and so is everything after a ``#`` when ``comments`` is set."""
+    if not path.exists():
+        raise BundleFormatError(f"missing file: {path}")
+    with path.open() as fh:
+        for _ in range(start - 1):
+            fh.readline()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                table = np.loadtxt(fh, dtype=dtype, comments="#" if comments else None, ndmin=2)
+        except ValueError:
+            table = None
+    if table is not None and table.size == 0:
+        return np.empty((0, columns), dtype=dtype)
+    if table is None or table.shape[1] != columns:
+        raise _line_error(path, check, comments, start)
+    return table
+
+
+def _read_edge_array(path: Path, num_nodes: int) -> np.ndarray:
+    def check(line, fields):
+        if len(fields) != 2:
+            return f"expected 'u<TAB>v', got {line!r}"
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            return f"non-integer node id in {line!r}"
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            return f"node id out of range in {line!r}"
+        return None
+
+    edges = _read_table(path, np.int64, 2, check)
+    if ((edges < 0) | (edges >= num_nodes)).any():
+        raise _line_error(path, check, True, 1)
     return edges
 
 
 def load_edges(path, num_nodes: int, directed: bool = False) -> SparseGraph:
     """Read an edge list file into a graph; reversed duplicates collapse."""
-    return SparseGraph.from_edges(num_nodes, _read_edge_file(Path(path), num_nodes), directed=directed)
+    return SparseGraph.from_edges(num_nodes, _read_edge_array(Path(path), num_nodes), directed=directed)
 
 
 def load_features(path) -> np.ndarray:
@@ -83,26 +124,55 @@ def load_features(path) -> np.ndarray:
     if not path.exists():
         raise BundleFormatError(f"missing file: {path}")
     with path.open() as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise BundleFormatError(f"{path}:1: expected header 'N d'")
-        n, dim = int(header[0]), int(header[1])
-        rows, linenos = [], []
-        for lineno, line in enumerate(fh, 2):
-            if not line.strip():
-                continue
-            vals = line.split()
-            if len(vals) != dim:
-                raise BundleFormatError(f"{path}:{lineno}: expected {dim} values, got {len(vals)}")
-            rows.append([float(v) for v in vals])
-            linenos.append(lineno)
-    if len(rows) != n:
-        raise BundleFormatError(f"{path}: header says {n} rows, found {len(rows)}")
-    x = np.array(rows, dtype=float).reshape(n, dim)
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size:
-        raise BundleFormatError(f"{path}:{linenos[bad[0]]}: non-finite value (NaN or inf)")
+        header = fh.readline().strip()
+    try:
+        n, dim = (int(f) for f in header.split())
+    except ValueError:
+        raise BundleFormatError(f"{path}:1: expected header 'N d', got {header!r}") from None
+    if n < 0 or dim < 0:
+        raise BundleFormatError(f"{path}:1: expected header 'N d', got {header!r}")
+
+    def check(line, fields):
+        if len(fields) != dim:
+            return f"expected {dim} values, got {len(fields)}"
+        try:
+            values = [float(f) for f in fields]
+        except ValueError:
+            return f"non-numeric value in {line!r}"
+        if not all(math.isfinite(v) for v in values):
+            return "non-finite value (NaN or inf)"
+        return None
+
+    x = _read_table(path, float, dim, check, comments=False, start=2)
+    if len(x) != n:
+        raise BundleFormatError(f"{path}: header says {n} rows, found {len(x)}")
+    if not np.isfinite(x).all():
+        raise _line_error(path, check, False, 2)
     return x
+
+
+def _read_labels(path: Path, n: int) -> np.ndarray:
+    """Label per node, -1 where the file lists none; a node listed twice
+    keeps its last label."""
+
+    def check(line, fields):
+        if len(fields) != 2:
+            return f"expected 'node<TAB>label', got {line!r}"
+        try:
+            node, _ = int(fields[0]), int(fields[1])
+        except ValueError:
+            return f"non-integer value in {line!r}"
+        if not (0 <= node < n):
+            return f"node id {node} out of range"
+        return None
+
+    nodes, labs = _read_table(path, np.int64, 2, check).T
+    if ((nodes < 0) | (nodes >= n)).any():
+        raise _line_error(path, check, True, 1)
+    last = len(nodes) - 1 - np.unique(nodes[::-1], return_index=True)[1]
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[nodes[last]] = labs[last]
+    return labels
 
 
 def load_graph_bundle(dir_path) -> GraphBundle:
@@ -110,22 +180,8 @@ def load_graph_bundle(dir_path) -> GraphBundle:
     features = load_features(d / "features.txt")
     n = features.shape[0]
 
-    labels = np.full(n, -1, dtype=np.int64)
     label_path = d / "labels.tsv"
-    if not label_path.exists():
-        raise BundleFormatError(f"missing file: {label_path}")
-    with label_path.open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise BundleFormatError(f"{label_path}:{lineno}: expected 'node<TAB>label'")
-            node, lab = int(parts[0]), int(parts[1])
-            if not (0 <= node < n):
-                raise BundleFormatError(f"{label_path}:{lineno}: node id {node} out of range")
-            labels[node] = lab
+    labels = _read_labels(label_path, n)
 
     graph = load_edges(d / "edges.tsv", n)
 
@@ -146,20 +202,28 @@ def load_graph_bundle(dir_path) -> GraphBundle:
     return GraphBundle(graph=graph, features=features, labels=labels, split=split)
 
 
+# Rows formatted per write by the savers.
+_WRITE_ROWS = 1024
+
+
+def _write_rows(fh, table: np.ndarray, line_format: str) -> None:
+    """Write each row of a 2-D array as ``line_format % tuple(row)``."""
+    for lo in range(0, len(table), _WRITE_ROWS):
+        block = table[lo : lo + _WRITE_ROWS]
+        fh.write((line_format * len(block)) % tuple(block.ravel().tolist()))
+
+
 def save_edges(graph: SparseGraph, path) -> None:
-    path = Path(path)
-    with path.open("w") as fh:
-        for u, v in graph.edges():
-            fh.write(f"{u}\t{v}\n")
+    with Path(path).open("w") as fh:
+        _write_rows(fh, graph.edge_array(), "%d\t%d\n")
 
 
 def save_features(features: np.ndarray, path) -> None:
-    path = Path(path)
+    """Header 'N d', then each row's values as repr of Python floats."""
     n, dim = features.shape
-    with path.open("w") as fh:
+    with Path(path).open("w") as fh:
         fh.write(f"{n} {dim}\n")
-        for row in features:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+        _write_rows(fh, np.asarray(features, dtype=float), " ".join(["%r"] * dim) + "\n")
 
 
 def save_graph_bundle(bundle: GraphBundle, dir_path) -> None:
@@ -167,9 +231,9 @@ def save_graph_bundle(bundle: GraphBundle, dir_path) -> None:
     d.mkdir(parents=True, exist_ok=True)
     save_edges(bundle.graph, d / "edges.tsv")
     save_features(bundle.features, d / "features.txt")
+    labels = np.asarray(bundle.labels, dtype=np.int64)
     with (d / "labels.tsv").open("w") as fh:
-        for node, lab in enumerate(bundle.labels):
-            fh.write(f"{node}\t{int(lab)}\n")
+        _write_rows(fh, np.column_stack((np.arange(len(labels)), labels)), "%d\t%d\n")
     with (d / "split.json").open("w") as fh:
         json.dump(
             {"train": bundle.split.train, "val": bundle.split.val, "test": bundle.split.test},
@@ -218,8 +282,7 @@ def generate_sbm(spec: SbmSpec) -> GraphBundle:
     iu, ju = np.triu_indices(n, k=1)
     probs = np.where(labels[iu] == labels[ju], spec.p_in, spec.p_out)
     mask = rng.random(len(iu)) < probs
-    edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
-    graph = SparseGraph.from_edges(n, edges)
+    graph = SparseGraph.from_edges(n, np.column_stack((iu[mask], ju[mask])))
 
     templates = np.zeros((k, spec.feature_dim))
     for c in range(k):

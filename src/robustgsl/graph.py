@@ -15,12 +15,34 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def as_edge_array(edges) -> np.ndarray:
+    """Any collection of (u, v) pairs (an (E, 2) array, a list, a set) as an
+    (E, 2) int64 array, in the collection's order."""
+    if not isinstance(edges, (np.ndarray, list, tuple)):
+        edges = list(edges)
+    arr = np.asarray(edges, dtype=np.int64)
+    if arr.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"expected (u, v) pairs, got an array of shape {arr.shape}")
+    return arr
+
+
+def edge_keys(edges: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Row-major key u * n + v of each in-range pair; sorted pairs give sorted keys."""
+    return edges[:, 0] * num_nodes + edges[:, 1]
+
+
+def edge_tuples(edges: np.ndarray) -> set[Edge]:
+    return set(map(tuple, edges.tolist()))
+
+
 @dataclass(frozen=True)
 class SparseGraph:
     """Unweighted adjacency in CSR form. Self-loops are never stored.
 
-    Undirected graphs keep both (i, j) and (j, i) entries; ``edges()`` then
-    reports each pair once with i < j.
+    Undirected graphs keep both (i, j) and (j, i) entries; ``edge_array()``
+    and ``edges()`` then report each pair once with i < j.
     """
 
     num_nodes: int
@@ -29,41 +51,55 @@ class SparseGraph:
 
     @classmethod
     def from_edges(cls, num_nodes: int, edges, directed: bool = False) -> "SparseGraph":
-        rows, cols = [], []
-        seen = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                continue
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
-            key = (u, v) if directed else canonical_edge(u, v)
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append(u)
-            cols.append(v)
-            if not directed:
-                rows.append(v)
-                cols.append(u)
-        data = np.ones(len(rows), dtype=float)
-        adj = sp.csr_matrix((data, (rows, cols)), shape=(num_nodes, num_nodes))
-        adj.sort_indices()
+        """Graph of any (E, 2) integer pairs; self-loops and repeats are dropped,
+        and an undirected graph also drops reversed repeats."""
+        arr = as_edge_array(edges)
+        outside = ((arr < 0) | (arr >= num_nodes)).any(axis=1)
+        if outside.any():
+            u, v = arr[np.argmax(outside)].tolist()
+            raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
+        arr = arr[arr[:, 0] != arr[:, 1]]
+        if not directed:
+            arr = np.concatenate((arr, arr[:, ::-1]))
+        # Unique row-major keys are the CSR entries in row order, columns sorted.
+        # (np.sort plus a neighbour test: np.unique hashes, about 20x slower here.)
+        keys = np.sort(edge_keys(arr, num_nodes))
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        rows, cols = np.divmod(keys[first], num_nodes)
+        # The index dtype scipy itself picks for a matrix of this size.
+        index = np.int32 if max(num_nodes, len(cols)) < 2 ** 31 else np.int64
+        indptr = np.zeros(num_nodes + 1, dtype=index)
+        np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+        adj = sp.csr_matrix(
+            (np.ones(len(cols)), cols.astype(index), indptr), shape=(num_nodes, num_nodes)
+        )
         return cls(num_nodes=num_nodes, adj=adj, directed=directed)
 
+    def edge_array(self) -> np.ndarray:
+        """Stored edges as a sorted (E, 2) int64 array, read off the CSR rows."""
+        counts = np.diff(self.adj.indptr)
+        rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), counts)
+        arr = np.column_stack((rows, self.adj.indices.astype(np.int64)))
+        return arr if self.directed else arr[arr[:, 0] < arr[:, 1]]
+
     def edges(self) -> list[Edge]:
-        coo = self.adj.tocoo()
-        if self.directed:
-            pairs = sorted(zip(coo.row.tolist(), coo.col.tolist()))
-            return pairs
-        return sorted({canonical_edge(int(u), int(v)) for u, v in zip(coo.row, coo.col)})
+        return list(map(tuple, self.edge_array().tolist()))
 
     @property
     def num_edges(self) -> int:
         return self.adj.nnz if self.directed else self.adj.nnz // 2
 
     def edge_set(self) -> set[Edge]:
-        return set(self.edges())
+        return edge_tuples(self.edge_array())
+
+
+def edge_difference(a: SparseGraph, b: SparseGraph) -> np.ndarray:
+    """The edges of a that b lacks, as a sorted (E, 2) array."""
+    if a.num_nodes != b.num_nodes:
+        raise ValueError(f"node-count mismatch: {a.num_nodes} vs {b.num_nodes}")
+    ea, n = a.edge_array(), a.num_nodes
+    return ea[np.isin(edge_keys(ea, n), edge_keys(b.edge_array(), n), invert=True)]
 
 
 def degrees(g: SparseGraph) -> np.ndarray:

@@ -31,6 +31,28 @@ def spmm(a: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
     return np.asarray(a @ b)
 
 
+# Edges per gather in the edge kernels: a block holds two EDGE_BLOCK x d row slices.
+EDGE_BLOCK = 8192
+
+
+def edge_cosines(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Cosine of rows u and v of x for each (u, v) row of edges; 0 when
+    either row is all zero.
+
+    Bitwise equal to the cosines of ``feature_similarity`` and
+    ``embedding_similarity``: numpy computes the matmul of a 1 x d by a d x 1
+    slice with the same BLAS dot that np.dot and np.linalg.norm take on a row.
+    """
+    norms = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    out = np.zeros(len(edges))
+    for lo in range(0, len(edges), EDGE_BLOCK):
+        u, v = edges[lo : lo + EDGE_BLOCK].T
+        dots = (x[u][:, None, :] @ x[v][:, :, None])[:, 0, 0]
+        nonzero = (norms[u] != 0.0) & (norms[v] != 0.0)
+        out[lo : lo + EDGE_BLOCK][nonzero] = dots[nonzero] / (norms[u] * norms[v])[nonzero]
+    return out
+
+
 def glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform init in +/- sqrt(6 / (rows + cols))."""
     if rows < 1 or cols < 1:

@@ -14,7 +14,7 @@ import numpy as np
 from .classifier import ClassifierConfig, train_classifier
 from .data_io import GraphBundle, summarize_runs
 from .encoder import EncoderConfig, train_encoder
-from .graph import SparseGraph
+from .graph import SparseGraph, edge_difference, edge_tuples
 from .linalg import make_rng
 from .preprocess import (
     ViewBundle,
@@ -80,7 +80,7 @@ class PipelineRun:
 
 def symmetrized(g: SparseGraph) -> SparseGraph:
     """Undirected graph over all ordered edges of g (OR with its transpose)."""
-    return SparseGraph.from_edges(g.num_nodes, g.edges(), directed=False)
+    return SparseGraph.from_edges(g.num_nodes, g.edge_array(), directed=False)
 
 
 def build_views(base: SparseGraph, removed: set, config: PipelineConfig, seed: int) -> ViewBundle:
@@ -110,7 +110,7 @@ def run_variant(
     if variant == "no-preprocess":
         base, removed = g_in, set()
     else:
-        base, removed, _ = rough_preprocess(g_in, bundle.features, config.metric, config.t1)
+        base, removed = rough_preprocess(g_in, bundle.features, config.metric, config.t1)
 
     views = build_views(base, removed, config, view_seed)
     # Similarity is taken on the pre-activation z: the ReLU embeddings are
@@ -119,7 +119,7 @@ def run_variant(
     _, embeddings, z = train_encoder(views, bundle.features, config.encoder, encoder_seed)
 
     retained = prune_edges(base, z, config.t2)
-    removed_refine = base.edge_set() - retained.edge_set()
+    removed_refine = edge_tuples(edge_difference(base, retained))
     refined = topk_insert(retained, z, config.k)
 
     clf_graph = symmetrized(refined) if config.classifier_mode == "vanilla" else refined

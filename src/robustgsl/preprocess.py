@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Edge, SparseGraph, canonical_edge
-from .linalg import make_rng
+from .graph import Edge, SparseGraph, as_edge_array, canonical_edge, edge_tuples
+from .linalg import EDGE_BLOCK, edge_cosines, make_rng
 
 METRICS = ("jaccard", "cosine")
 
@@ -30,23 +30,45 @@ def feature_similarity(x_i: np.ndarray, x_j: np.ndarray, metric: str) -> float:
     raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
 
 
+def _edge_jaccard(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    support = x > 0
+    sizes = np.count_nonzero(support, axis=1)
+    out = np.zeros(len(edges))
+    for lo in range(0, len(edges), EDGE_BLOCK):
+        u, v = edges[lo : lo + EDGE_BLOCK].T
+        inter = np.count_nonzero(support[u] & support[v], axis=1)
+        union = sizes[u] + sizes[v] - inter
+        nonzero = union != 0
+        out[lo : lo + EDGE_BLOCK][nonzero] = inter[nonzero] / union[nonzero]
+    return out
+
+
+def _score_array(edges: np.ndarray, features: np.ndarray, metric: str) -> np.ndarray:
+    if metric == "jaccard":
+        return _edge_jaccard(features, edges)
+    if metric == "cosine":
+        return edge_cosines(features, edges)
+    raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
+
+
 def edge_scores(g: SparseGraph, features: np.ndarray, metric: str) -> dict[Edge, float]:
-    """Similarity score for every stored (undirected) edge."""
-    return {e: feature_similarity(features[e[0]], features[e[1]], metric) for e in g.edges()}
+    """Similarity score for every stored (undirected) edge, equal to
+    feature_similarity on its two rows."""
+    edges = g.edge_array()
+    return dict(zip(map(tuple, edges.tolist()), _score_array(edges, features, metric).tolist()))
 
 
 def rough_preprocess(
     g: SparseGraph, features: np.ndarray, metric: str, t1: float
-) -> tuple[SparseGraph, set, dict[Edge, float]]:
+) -> tuple[SparseGraph, set]:
     """Drop every edge scoring strictly below t1.
 
-    Returns (pruned graph, removed edge set, per-edge scores). Kept and
-    removed edges partition the input edge set.
+    Returns (pruned graph, removed edge set). Kept and removed edges
+    partition the input edge set.
     """
-    scores = edge_scores(g, features, metric)
-    kept = [e for e, s in scores.items() if s >= t1]
-    removed = {e for e, s in scores.items() if s < t1}
-    return SparseGraph.from_edges(g.num_nodes, kept), removed, scores
+    edges = g.edge_array()
+    low = _score_array(edges, features, metric) < t1
+    return SparseGraph.from_edges(g.num_nodes, edges[~low]), edge_tuples(edges[low])
 
 
 @dataclass
@@ -70,12 +92,13 @@ def make_views(base: SparseGraph, removed: set, p: float, m: int, seed: int) -> 
     if m < 1:
         raise ValueError("need at least one view")
     rng = make_rng(seed)
-    ordered = sorted(removed)
+    ordered = as_edge_array(removed)
+    ordered = ordered[np.lexsort((ordered[:, 1], ordered[:, 0]))]
+    base_edges = base.edge_array()
     views = []
     for _ in range(m):
         mask = rng.random(len(ordered)) < p
-        recovered = [e for e, keep in zip(ordered, mask) if keep]
-        views.append(SparseGraph.from_edges(base.num_nodes, base.edges() + recovered))
+        views.append(SparseGraph.from_edges(base.num_nodes, np.concatenate((base_edges, ordered[mask]))))
     return ViewBundle(base=base, removed=set(removed), views=views, seed=seed)
 
 
@@ -93,7 +116,7 @@ def random_perturb_views(base: SparseGraph, ratio: float, m: int, seed: int) -> 
     if m < 1:
         raise ValueError("need at least one view")
     rng = make_rng(seed)
-    edges = base.edges()
+    edges = base.edge_array()
     n = base.num_nodes
     count = int(round(ratio * len(edges) / 2))
     max_edges = n * (n - 1) // 2
@@ -101,11 +124,12 @@ def random_perturb_views(base: SparseGraph, ratio: float, m: int, seed: int) -> 
         raise ValueError(
             f"cannot remove and add {count} edges on a graph with {len(edges)} edges"
         )
+    present = edge_tuples(edges)
     views = []
     for _ in range(m):
-        drop_idx = set(rng.choice(len(edges), size=count, replace=False).tolist()) if count else set()
-        kept = [e for i, e in enumerate(edges) if i not in drop_idx]
-        present = set(edges)
+        kept = np.ones(len(edges), dtype=bool)
+        if count:
+            kept[rng.choice(len(edges), size=count, replace=False)] = False
         new_edges: set = set()
         while len(new_edges) < count:
             u = int(rng.integers(n))
@@ -116,5 +140,5 @@ def random_perturb_views(base: SparseGraph, ratio: float, m: int, seed: int) -> 
             if e in present or e in new_edges:
                 continue
             new_edges.add(e)
-        views.append(SparseGraph.from_edges(n, kept + sorted(new_edges)))
+        views.append(SparseGraph.from_edges(n, np.concatenate((edges[kept], as_edge_array(new_edges)))))
     return ViewBundle(base=base, removed=set(), views=views, seed=seed)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import SparseGraph
+from .graph import SparseGraph, as_edge_array, edge_keys
+from .linalg import edge_cosines
 
 
 def _normalized_rows(h: np.ndarray) -> np.ndarray:
@@ -47,8 +48,8 @@ def _check_rows(g: SparseGraph, h: np.ndarray) -> None:
 def prune_edges(g: SparseGraph, h: np.ndarray, t2: float) -> SparseGraph:
     """Keep an edge only when its embedding similarity strictly exceeds t2."""
     _check_rows(g, h)
-    kept = [e for e in g.edges() if embedding_similarity(h, e[0], e[1]) > t2]
-    return SparseGraph.from_edges(g.num_nodes, kept)
+    edges = g.edge_array()
+    return SparseGraph.from_edges(g.num_nodes, edges[edge_cosines(h, edges) > t2])
 
 
 def _topk_columns(sim: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
@@ -80,10 +81,8 @@ def topk_insert(retained: SparseGraph, h: np.ndarray, k: int) -> SparseGraph:
         raise ValueError("k must be nonnegative")
     _check_rows(retained, h)
     n = retained.num_nodes
-    edges: set[tuple[int, int]] = set()
-    for u, v in retained.edges():
-        edges.add((u, v))
-        edges.add((v, u))
+    kept = retained.edge_array()
+    edges = [kept, kept[:, ::-1]]
     if k > 0 and n > 1:
         hn = _normalized_rows(h)
         kk = min(k, n - 1)
@@ -92,8 +91,8 @@ def topk_insert(retained: SparseGraph, h: np.ndarray, k: int) -> SparseGraph:
             rows = np.arange(sim.shape[0])
             sim[rows, lo + rows] = -np.inf
             src, dst = _topk_columns(sim, kk)
-            edges.update(zip((src + lo).tolist(), dst.tolist()))
-    return SparseGraph.from_edges(n, sorted(edges), directed=True)
+            edges.append(np.column_stack((src + lo, dst)))
+    return SparseGraph.from_edges(n, np.concatenate(edges), directed=True)
 
 
 def removal_report(
@@ -107,19 +106,23 @@ def removal_report(
     adversarial = removals that were attack additions; normal = removals of
     clean edges; accuracy = adversarial / total.
     """
-    removed = set(removed)
-    extra = removed - poisoned.edge_set()
-    if extra:
-        raise ValueError(f"removed edges not present in the poisoned graph: {sorted(extra)[:5]}")
-    clean_edges = clean.edge_set()
-    adversarial = {e for e in removed if e not in clean_edges}
-    normal = removed & clean_edges
-    heterophilic = {e for e in normal if labels[e[0]] != labels[e[1]]}
+    n = max(clean.num_nodes, poisoned.num_nodes)
+    removed = np.unique(as_edge_array(removed), axis=0)
+    keys = edge_keys(removed, n)
+    inside = ((removed >= 0) & (removed < n)).all(axis=1)
+    extra = removed[~inside | ~np.isin(keys, edge_keys(poisoned.edge_array(), n))]
+    if len(extra):
+        raise ValueError(
+            f"removed edges not present in the poisoned graph: {sorted(map(tuple, extra.tolist()))[:5]}"
+        )
+    normal = np.isin(keys, edge_keys(clean.edge_array(), n))
     total = len(removed)
+    adversarial = total - int(normal.sum())
+    u, v = removed[normal].T
     return {
         "total": total,
-        "adversarial": len(adversarial),
-        "normal": len(normal),
-        "normal_heterophilic": len(heterophilic),
-        "accuracy": (len(adversarial) / total) if total else 0.0,
+        "adversarial": adversarial,
+        "normal": int(normal.sum()),
+        "normal_heterophilic": int(np.count_nonzero(labels[u] != labels[v])),
+        "accuracy": (adversarial / total) if total else 0.0,
     }

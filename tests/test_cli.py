@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -151,6 +152,54 @@ class TestStageCommands:
         meta = read_report(pre / "preprocess.json")
         assert meta["t1"] == 0.03
         assert (meta["metric"], meta["aug"], meta["num_views"]) == ("jaccard", "recovery", 2)
+
+
+def _file_digests(root) -> dict:
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+class TestPinnedStageChain:
+    """sha256 of every file that attack -> preprocess -> refine writes on the
+    60-node synth bundle, computed before the edge-array core replaced the
+    set-based stages. The features are binary and the embeddings small
+    integers, so every dot product is exact and the files do not depend on
+    the BLAS build."""
+
+    DIGESTS = {
+        "poisoned/edges.tsv": "34b5dc15b9b410d5b1546701e4fc961e0072bb79dda123d84b16cbfe2fd45596",
+        "poisoned/features.txt": "0d291291b8e5895938768e50cdf1b788c4d2decb367caa328414bc9704fb04c1",
+        "poisoned/labels.tsv": "d749ff9502a5d7d0a2f64ba677e2e204c525b3b757e52cef1cc8b20d2e764fe1",
+        "poisoned/perturbation.json": "7bea7585c148941e3f2819633452cdd4db91d7eb94c71c4a162f17db91d525a8",
+        "poisoned/split.json": "bb35eb571f7ae756c1ac20958071ed281589aed2d5b302eba519a01399f272ba",
+        "pre/preprocess.json": "5117cc0402e70d37a86a0f0c09bb5780e526657fdd98b8b1f8f120a78f9a69d0",
+        "pre/preprocessed_edges.tsv": "36e44f39cf96646d7bd791d60070bf0da2bce8cea069eef60378b845bfd5e1bb",
+        "pre/removed_edges.tsv": "e965413867b166e3de73e0af72f5421e33fcfc607a1d5d49fe4c93ad06832ee3",
+        "pre/view_0.tsv": "c17cf7d2b873f010df32decb44f2d0ca4294ecbb9022d26ff9caf207c64f6cfe",
+        "pre/view_1.tsv": "09515ae05f0e7d2ffd06fb71c25a550223ad84b13ffd5b649bd07672e19c7c71",
+        "refined/refined_edges.tsv": "d65c74d39a3d8f35bf8cb829c10b47b5cca3817018c6d5a111581fe5b3016a5c",
+        "refined/removal_report.json": "591f61df80dc53e3e4060a9947348d5344034c0d77c995034ff27e596b8e62bf",
+    }
+
+    def test_files_unchanged(self, clean_dir, tmp_path):
+        z = make_rng(5).integers(-2, 3, size=(60, 6)).astype(float)
+        save_features(z, tmp_path / "emb.txt")
+        save_features(z, tmp_path / "emb.preact.txt")
+        out = tmp_path / "out"
+        steps = [
+            ["attack", "--method", "random", "--ptb-rate", "0.2", "--in", clean_dir, "--seed", "3",
+             "--out", out / "poisoned"],
+            ["preprocess", "--in", out / "poisoned", "--metric", "cosine", "--t1", "0.3",
+             "--aug", "random", "--seed", "4", "--out", out / "pre"],
+            ["refine", "--in", out / "poisoned", "--pre", out / "pre", "--embeddings",
+             tmp_path / "emb.txt", "--clean", clean_dir, "--out", out / "refined"],
+        ]
+        for argv in steps:
+            assert main([str(a) for a in argv]) == 0
+        assert _file_digests(out) == self.DIGESTS
 
 
 class TestPipelineCommands:

@@ -9,8 +9,12 @@ from robustgsl.data_io import (
     GraphBundle,
     SbmSpec,
     generate_sbm,
+    load_edges,
+    load_features,
     load_graph_bundle,
     read_report,
+    save_edges,
+    save_features,
     save_graph_bundle,
     summarize_runs,
     write_report,
@@ -76,6 +80,82 @@ class TestBundleIo:
         (tmp_path / "edges.tsv").write_text("0\t7\n")
         with pytest.raises(BundleFormatError, match="edges.tsv:1"):
             load_graph_bundle(tmp_path)
+
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("labels.tsv", "0\t0\n1\tx\n2\t1\n", "labels.tsv:2"),
+            ("features.txt", "12 four\n1 0\n", "features.txt:1"),
+            ("features.txt", "3 2\n1 0\n\n0.5 abc\n0 1\n", "features.txt:4"),
+            ("edges.tsv", "# header\n0\t1\n1\t2\t3\n", "edges.tsv:3"),
+            ("edges.tsv", "0\t1\n1\t2.0\n", "edges.tsv:2"),
+            ("labels.tsv", "0\t0\n\n5\t1\n", "labels.tsv:3"),
+        ],
+        ids=["label-not-int", "header-not-int", "feature-not-number", "edge-three-fields",
+             "edge-float-id", "label-node-out-of-range"],
+    )
+    def test_malformed_line_named(self, tmp_path, name, text, where):
+        save_graph_bundle(toy_bundle(), tmp_path)
+        (tmp_path / name).write_text(text)
+        with pytest.raises(BundleFormatError, match=where):
+            load_graph_bundle(tmp_path)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        save_graph_bundle(toy_bundle(), tmp_path)
+        (tmp_path / "edges.tsv").write_text("# edges\n\n1\t2  # kept\n   \n0 1\n")
+        (tmp_path / "labels.tsv").write_text("0\t0\n# two\n\n1\t1\n2\t0\n2\t1\n")
+        (tmp_path / "features.txt").write_text("3 2\n1 0\n\n0.5 0.25\n  \n0 1\n")
+        loaded = load_graph_bundle(tmp_path)
+        bundle = toy_bundle()
+        assert loaded.graph.edges() == bundle.graph.edges()
+        np.testing.assert_array_equal(loaded.features, bundle.features)
+        np.testing.assert_array_equal(loaded.labels, bundle.labels)  # last label of node 2 wins
+
+    def test_empty_edge_file(self, tmp_path):
+        (tmp_path / "e.tsv").write_text("# nothing\n")
+        assert load_edges(tmp_path / "e.tsv", 4).num_edges == 0
+
+
+def _loop_saved_edges(graph) -> str:
+    return "".join(f"{u}\t{v}\n" for u, v in graph.edges())
+
+
+def _loop_saved_features(x) -> str:
+    n, dim = x.shape
+    return f"{n} {dim}\n" + "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in x)
+
+
+class TestSaveBytes:
+    """The block writers give the bytes of the per-value loops they replaced."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_save_edges_matches_loop(self, tmp_path, directed):
+        rng = np.random.default_rng(11)
+        for n in (1, 7, 60, 3000):
+            pairs = rng.integers(0, n, size=(3 * n, 2))
+            g = SparseGraph.from_edges(n, pairs, directed=directed)
+            save_edges(g, tmp_path / "e.tsv")
+            assert (tmp_path / "e.tsv").read_bytes() == _loop_saved_edges(g).encode()
+            assert load_edges(tmp_path / "e.tsv", n, directed).edges() == g.edges()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (1, 1), (5, 7), (2500, 9)])
+    def test_save_features_matches_loop(self, tmp_path, shape):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        specials = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+        x.ravel()[: len(specials)] = specials[: x.size]
+        save_features(x, tmp_path / "f.txt")
+        assert (tmp_path / "f.txt").read_bytes() == _loop_saved_features(x).encode()
+        if shape[1]:  # rows of no values are blank lines, which the loader skips
+            loaded = load_features(tmp_path / "f.txt")
+            assert loaded.shape == shape
+            assert loaded.tobytes() == x.tobytes()
+
+    def test_save_labels_matches_loop(self, tmp_path):
+        bundle = generate_sbm(SbmSpec(1500, 3, 0.01, 0.001, 4, 2, 0.0, seed=3))
+        save_graph_bundle(bundle, tmp_path)
+        want = "".join(f"{node}\t{int(lab)}\n" for node, lab in enumerate(bundle.labels))
+        assert (tmp_path / "labels.tsv").read_text() == want
 
 
 class TestSbm:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import random_undirected_graph
-from robustgsl.graph import SparseGraph, degrees, renormalized_adjacency
+from robustgsl.graph import SparseGraph, degrees, edge_difference, renormalized_adjacency
 
 
 class TestSparseGraph:
@@ -73,3 +74,86 @@ class TestRenormalizedAdjacency:
                 renormalized_adjacency(g).toarray(), dinv @ dense @ dinv, atol=1e-12
             )
 
+
+
+def reference_from_edges(num_nodes, edges, directed=False):
+    """The set-of-tuples constructor the edge-array core replaced."""
+    rows, cols = [], []
+    seen = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            continue
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        if key in seen:
+            continue
+        seen.add(key)
+        rows.append(u)
+        cols.append(v)
+        if not directed:
+            rows.append(v)
+            cols.append(u)
+    adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(num_nodes, num_nodes))
+    adj.sort_indices()
+    return adj
+
+
+def reference_edges(adj, directed):
+    coo = adj.tocoo()
+    if directed:
+        return sorted(zip(coo.row.tolist(), coo.col.tolist()))
+    return sorted({(min(u, v), max(u, v)) for u, v in zip(coo.row.tolist(), coo.col.tolist())})
+
+
+def random_edge_lists(seed, count=40):
+    """Edge lists with repeats, reversed pairs and self-loops, plus empty ones."""
+    rng = np.random.default_rng(seed)
+    yield 0, []
+    yield 5, []
+    for _ in range(count):
+        n = int(rng.integers(1, 50))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        pairs = np.concatenate((pairs, pairs[: len(pairs) // 3, ::-1], pairs[: len(pairs) // 4]))
+        yield n, [tuple(p) for p in pairs.tolist()]
+
+
+class TestEdgeArrayCore:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_csr_matches_reference_byte_for_byte(self, directed):
+        for n, edges in random_edge_lists(7):
+            ref = reference_from_edges(n, edges, directed)
+            for given in (edges, np.array(edges, dtype=np.int64).reshape(-1, 2), iter(edges)):
+                g = SparseGraph.from_edges(n, given, directed=directed)
+                for name in ("indptr", "indices", "data"):
+                    got, want = getattr(g.adj, name), getattr(ref, name)
+                    assert got.dtype == want.dtype, name
+                    assert got.tobytes() == want.tobytes(), name
+                assert g.adj.shape == ref.shape
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_edges_match_reference(self, directed):
+        for n, edges in random_edge_lists(8):
+            g = SparseGraph.from_edges(n, edges, directed=directed)
+            want = reference_edges(reference_from_edges(n, edges, directed), directed)
+            arr = g.edge_array()
+            assert arr.dtype == np.int64 and arr.shape == (len(want), 2)
+            assert g.edges() == want
+            assert g.edge_set() == set(want)
+            assert g.num_edges == len(want)
+
+    def test_out_of_range_self_loop_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(5, 5\) out of range for 2 nodes"):
+            SparseGraph.from_edges(2, [(5, 5)])
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            SparseGraph.from_edges(3, np.array([[0, 1], [-1, 2]]))
+
+    def test_edge_difference_matches_sets(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            a = random_undirected_graph(30, 0.2, rng)
+            kept = [e for e in a.edges() if rng.random() < 0.7]
+            b = SparseGraph.from_edges(30, kept + [(0, 29)])
+            diff = edge_difference(a, b)
+            assert diff.tolist() == [list(e) for e in sorted(a.edge_set() - b.edge_set())]

@@ -48,12 +48,24 @@ class TestFeatureSimilarity:
             feature_similarity(np.ones(2), np.ones(3), "jaccard")
 
 
+class TestEdgeScores:
+    @pytest.mark.parametrize("metric", ["jaccard", "cosine"])
+    def test_bitwise_equal_to_feature_similarity(self, metric, rng):
+        # Over 8192 edges, so the scores come from more than one gather block.
+        g = random_undirected_graph(400, 0.12, rng)
+        x = rng.normal(size=(400, 30)) * (rng.random((400, 30)) < 0.4)
+        x[::17] = 0.0
+        scores = edge_scores(g, x, metric)
+        assert list(scores) == g.edges()
+        assert list(scores.values()) == [feature_similarity(x[u], x[v], metric) for u, v in g.edges()]
+
+
 class TestRoughPreprocess:
     def test_partition_of_edges(self, rng):
         g = random_undirected_graph(30, 0.2, rng)
         x = (rng.random((30, 12)) < 0.3).astype(float)
-        pruned, removed, scores = rough_preprocess(g, x, "jaccard", 0.2)
-        assert set(scores) == g.edge_set()
+        pruned, removed = rough_preprocess(g, x, "jaccard", 0.2)
+        assert set(edge_scores(g, x, "jaccard")) == g.edge_set()
         assert pruned.edge_set() | removed == g.edge_set()
         assert not (pruned.edge_set() & removed)
 
@@ -61,16 +73,16 @@ class TestRoughPreprocess:
         # similarity of the single edge is exactly 0.5; t1 == 0.5 keeps it
         g = SparseGraph.from_edges(2, [(0, 1)])
         x = np.array([[1.0, 1.0], [1.0, 0.0]])
-        _, removed, scores = rough_preprocess(g, x, "jaccard", 0.5)
-        assert scores[(0, 1)] == 0.5
+        _, removed = rough_preprocess(g, x, "jaccard", 0.5)
+        assert edge_scores(g, x, "jaccard")[(0, 1)] == 0.5
         assert not removed
-        _, removed, _ = rough_preprocess(g, x, "jaccard", 0.5 + 1e-12)
+        _, removed = rough_preprocess(g, x, "jaccard", 0.5 + 1e-12)
         assert removed == {(0, 1)}
 
     def test_zero_threshold_removes_nothing(self, rng):
         g = toy_graph()
         x = rng.random((8, 4))
-        pruned, removed, _ = rough_preprocess(g, x, "cosine", 0.0)
+        pruned, removed = rough_preprocess(g, x, "cosine", 0.0)
         assert not removed
         assert pruned.edges() == g.edges()
 
@@ -78,7 +90,7 @@ class TestRoughPreprocess:
         g = random_undirected_graph(25, 0.25, rng)
         x = (rng.random((25, 10)) < 0.4).astype(float)
         t1 = 0.3
-        _, removed, _ = rough_preprocess(g, x, "jaccard", t1)
+        _, removed = rough_preprocess(g, x, "jaccard", t1)
         expected = {
             e for e, s in edge_scores(g, x, "jaccard").items() if s < t1
         }
@@ -89,7 +101,7 @@ class TestMakeViews:
     def test_view_count_and_edge_bounds(self, rng):
         g = random_undirected_graph(20, 0.3, rng)
         x = (rng.random((20, 6)) < 0.3).astype(float)
-        base, removed, _ = rough_preprocess(g, x, "jaccard", 0.4)
+        base, removed = rough_preprocess(g, x, "jaccard", 0.4)
         bundle = make_views(base, removed, p=0.5, m=4, seed=7)
         assert len(bundle.views) == 4
         for view in bundle.views:
@@ -100,7 +112,7 @@ class TestMakeViews:
     def test_p_zero_and_one(self, rng):
         g = random_undirected_graph(20, 0.3, rng)
         x = (rng.random((20, 6)) < 0.3).astype(float)
-        base, removed, _ = rough_preprocess(g, x, "jaccard", 0.4)
+        base, removed = rough_preprocess(g, x, "jaccard", 0.4)
         assert removed  # needs a nonempty removed set to be meaningful
         none_back = make_views(base, removed, p=0.0, m=2, seed=1)
         assert all(v.edge_set() == base.edge_set() for v in none_back.views)

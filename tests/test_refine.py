@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_undirected_graph
 from robustgsl.graph import SparseGraph
+from robustgsl.linalg import EDGE_BLOCK, edge_cosines
 from robustgsl.refine import (
     _TOPK_BLOCK,
     embedding_similarity,
@@ -49,6 +50,17 @@ class TestPruneEdges:
         t2 = 0.1
         expected = {e for e in g.edges() if embedding_similarity(h, *e) > t2}
         assert prune_edges(g, h, t2).edge_set() == expected
+
+    def test_cosines_bitwise_equal_to_oracle_across_edge_blocks(self, rng):
+        g = random_undirected_graph(400, 0.12, rng)
+        assert g.num_edges > EDGE_BLOCK
+        h = rng.normal(size=(400, 16))
+        h[::13] = 0.0
+        edges = g.edge_array()
+        oracle = [embedding_similarity(h, u, v) for u, v in edges.tolist()]
+        assert edge_cosines(h, edges).tolist() == oracle
+        expected = {e for e, s in zip(g.edges(), oracle) if s > 0.2}
+        assert prune_edges(g, h, 0.2).edge_set() == expected
 
     def test_negative_threshold_keeps_all(self, rng):
         g = random_undirected_graph(15, 0.3, rng)
@@ -158,6 +170,30 @@ class TestRemovalReport:
         g = SparseGraph.from_edges(3, [(0, 1)])
         report = removal_report(g, g, set(), np.zeros(3, dtype=int))
         assert report["total"] == 0 and report["accuracy"] == 0.0
+
+    def test_matches_set_reference(self, rng):
+        for _ in range(5):
+            clean = random_undirected_graph(40, 0.15, rng)
+            extra = [(u, v) for u, v in random_undirected_graph(40, 0.05, rng).edges()]
+            poisoned = SparseGraph.from_edges(40, clean.edges() + extra)
+            labels = rng.integers(0, 3, size=40)
+            removed = {e for e in poisoned.edges() if rng.random() < 0.3}
+            clean_edges = clean.edge_set()
+            normal = removed & clean_edges
+            report = removal_report(clean, poisoned, removed, labels)
+            assert report == {
+                "total": len(removed),
+                "adversarial": len(removed - clean_edges),
+                "normal": len(normal),
+                "normal_heterophilic": sum(labels[u] != labels[v] for u, v in normal),
+                "accuracy": len(removed - clean_edges) / len(removed),
+            }
+
+    @pytest.mark.parametrize("edge", [(1, 0), (0, 7), (-1, 1), (2, 2)])
+    def test_rejects_edge_outside_poisoned(self, edge):
+        g = SparseGraph.from_edges(3, [(0, 1)])
+        with pytest.raises(ValueError, match="not present"):
+            removal_report(g, g, {(0, 1), edge}, np.zeros(3, dtype=int))
 
     def test_rejects_phantom_removal(self):
         g = SparseGraph.from_edges(3, [(0, 1)])
