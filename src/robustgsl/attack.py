@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Edge, SparseGraph, canonical_edge
+from .graph import Edge, SparseGraph, as_edge_array, canonical_edge, edge_difference, edge_keys, edge_tuples
 from .linalg import make_rng
 
 
@@ -43,10 +43,17 @@ class PerturbationRecord:
 
 
 def apply_perturbation(g: SparseGraph, record: PerturbationRecord) -> SparseGraph:
-    edges = g.edge_set()
-    edges -= record.removed
-    edges |= record.added
-    return SparseGraph.from_edges(g.num_nodes, sorted(edges))
+    """The graph with the record's removed edges taken out and its added ones put in.
+
+    A removal matches a stored edge as written, (u, v) with u < v on an
+    undirected graph; a pair that matches none is ignored.
+    """
+    n = g.num_nodes
+    edges = g.edge_array()
+    removed = as_edge_array(record.removed)
+    removed = removed[((removed >= 0) & (removed < n)).all(axis=1)]
+    kept = edges[np.isin(edge_keys(edges, n), edge_keys(removed, n), invert=True)]
+    return SparseGraph.from_edges(n, np.concatenate((kept, as_edge_array(record.added))))
 
 
 def _sample_nonedge(rng: np.random.Generator, n: int, forbidden: set, labels=None) -> Edge | None:
@@ -167,5 +174,7 @@ def perturbation_diff(clean: SparseGraph, poisoned: SparseGraph) -> Perturbation
         raise ValueError(
             f"node-count mismatch: clean has {clean.num_nodes}, poisoned has {poisoned.num_nodes}"
         )
-    a, b = clean.edge_set(), poisoned.edge_set()
-    return PerturbationRecord(added=b - a, removed=a - b)
+    return PerturbationRecord(
+        added=edge_tuples(edge_difference(poisoned, clean)),
+        removed=edge_tuples(edge_difference(clean, poisoned)),
+    )

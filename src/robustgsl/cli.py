@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,6 +48,28 @@ from .refine import prune_edges, removal_report, topk_insert
 
 class ConfigError(ValueError):
     pass
+
+
+def _checked(cast, ok, requirement):
+    """An argparse type: cast the value, then reject it unless ok(value).
+    argparse exits with code 2 and names the flag."""
+
+    def parse(text):
+        try:
+            value = cast(text)
+            valid = ok(value)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    return parse
+
+
+_at_least_one = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 
 
 def _load_config(path: str | None) -> PipelineConfig:
@@ -196,9 +219,10 @@ def cmd_refine(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_edges(refined, out / "refined_edges.tsv")
     if args.clean:
-        clean = load_graph_bundle(args.clean)
+        # The audit needs only the clean graph, on the poisoned bundle's nodes.
+        clean_graph = load_edges(Path(args.clean) / "edges.tsv", bundle.graph.num_nodes)
         removed = views.removed | edge_tuples(edge_difference(views.base, retained))
-        report = removal_report(clean.graph, bundle.graph, removed, bundle.labels)
+        report = removal_report(clean_graph, bundle.graph, removed, bundle.labels)
         write_report(report, out / "removal_report.json")
         print(f"removal accuracy {report['accuracy']:.4f} over {report['total']} removals")
     print(
@@ -347,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--pre", required=True, help="preprocess output directory")
     p.add_argument("--hidden", type=int, default=defaults.encoder.hidden)
-    p.add_argument("--lr", type=float, default=defaults.encoder.lr)
-    p.add_argument("--epochs", type=int, default=defaults.encoder.epochs)
-    p.add_argument("--patience", type=int, default=defaults.encoder.patience)
+    p.add_argument("--lr", type=_positive, default=defaults.encoder.lr)
+    p.add_argument("--epochs", type=_at_least_one, default=defaults.encoder.epochs)
+    p.add_argument("--patience", type=_at_least_one, default=defaults.encoder.patience)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--out", required=True, help="embedding output file; the pre-activation goes beside it"
@@ -379,9 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=defaults.alpha)
     p.add_argument("--beta", type=float, default=defaults.beta)
     p.add_argument("--hidden", type=int, default=defaults.classifier.hidden)
-    p.add_argument("--lr", type=float, default=defaults.classifier.lr)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=defaults.classifier.weight_decay)
-    p.add_argument("--epochs", type=int, default=defaults.classifier.epochs)
+    p.add_argument("--lr", type=_positive, default=defaults.classifier.lr)
+    p.add_argument(
+        "--weight-decay", dest="weight_decay", type=_non_negative, default=defaults.classifier.weight_decay
+    )
+    p.add_argument("--epochs", type=_at_least_one, default=defaults.classifier.epochs)
     p.add_argument("--mode", choices=("advanced", "vanilla"), default=defaults.classifier_mode)
     common(p)
     p.set_defaults(func=cmd_train)

@@ -9,6 +9,7 @@ by finite-difference checks in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,32 +52,6 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def _activate_grad_mask(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return (z > 0).astype(float)
-    if activation == "linear":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {activation!r}")
-
-
-def preactivation(model: EncoderModel, features: np.ndarray, g: SparseGraph) -> np.ndarray:
-    """Pre-activation A_hat X W on the given graph.
-
-    Its entries take both signs, so cosines between its rows span [-1, 1]; the
-    refinement thresholds are set on that scale.
-    """
-    if features.shape[1] != model.w_enc.shape[0]:
-        raise ValueError(
-            f"feature dim {features.shape[1]} != encoder input dim {model.w_enc.shape[0]}"
-        )
-    return spmm(renormalized_adjacency(g), features) @ model.w_enc
-
-
-def encode(model: EncoderModel, features: np.ndarray, g: SparseGraph) -> np.ndarray:
-    """Node embeddings act(A_hat X W) on the given graph."""
-    return _activate(preactivation(model, features, g), model.activation)
-
-
 def readout(h_view: np.ndarray) -> np.ndarray:
     """Logistic sigmoid of the column-wise mean; permutation invariant."""
     return sigmoid(h_view.mean(axis=0))
@@ -91,55 +66,82 @@ def shuffle_features(features: np.ndarray, seed: int) -> np.ndarray:
     return features[perm]
 
 
-def _loss_and_grads(
-    w_enc: np.ndarray,
-    w_disc: np.ndarray,
+def _contrastive_epoch(
     ax_base: np.ndarray,
     ax_shuf: np.ndarray,
     ax_views: list[np.ndarray],
     activation: str,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Contrastive BCE loss and its gradients, from precomputed A_hat X products."""
+    hidden: int,
+) -> Callable[[np.ndarray, np.ndarray], tuple[float, dict[str, np.ndarray]]]:
+    """Contrastive BCE loss and its gradients as a function of (w_enc, w_disc),
+    for fixed precomputed A_hat X products.
+
+    The N x hidden working arrays and the boolean ReLU masks are allocated
+    here, once per run, and every call overwrites them; the loss and the
+    gradients it returns are fresh. Each call takes the same floating-point
+    operations in the same order as the plain expression, so its results do
+    not depend on the buffers.
+    """
+    if activation not in ("relu", "linear"):
+        raise ValueError(f"unknown activation {activation!r}")
+    if not ax_views:
+        raise ValueError("need at least one view")
     n = ax_base.shape[0]
     m = len(ax_views)
-
-    z_pos = ax_base @ w_enc
-    h_pos = _activate(z_pos, activation)
-    z_neg = ax_shuf @ w_enc
-    h_neg = _activate(z_neg, activation)
-
-    z_views = [ax @ w_enc for ax in ax_views]
-    h_views = [_activate(z, activation) for z in z_views]
-    means = np.stack([h.mean(axis=0) for h in h_views])  # M x h
-    summaries = sigmoid(means)
-
-    logits_pos = h_pos @ w_disc @ summaries.T  # N x M
-    logits_neg = h_neg @ w_disc @ summaries.T
-    p = sigmoid(logits_pos)
-    q = sigmoid(logits_neg)
-    pc = np.clip(p, PROB_CLIP, 1 - PROB_CLIP)
-    qc = np.clip(q, PROB_CLIP, 1 - PROB_CLIP)
     scale = 1.0 / (2.0 * n * m)
-    loss = -scale * (np.log(pc).sum() + np.log(1 - qc).sum())
+    h_pos, h_neg, work, grad = (np.empty((n, hidden)) for _ in range(4))
+    # The linear activation has no mask: its gradient factor is exactly 1.
+    masks = [
+        np.empty((n, hidden), dtype=bool) if activation == "relu" else None for _ in range(2 + m)
+    ]
 
-    # Gradient w.r.t. the discriminator logits; zero where the clip is active.
-    g_pos = -scale * (p * (1 - p) / pc) * (p == pc)
-    g_neg = scale * (q * (1 - q) / (1 - qc)) * (q == qc)
+    def forward(ax, w_enc, out, mask):
+        np.matmul(ax, w_enc, out=out)
+        if mask is not None:
+            np.greater(out, 0.0, out=mask)
+            np.maximum(out, 0.0, out=out)
+        return out
 
-    d_wd = h_pos.T @ g_pos @ summaries + h_neg.T @ g_neg @ summaries
-    sw = summaries @ w_disc.T  # row j is w_disc @ s_j
-    d_hpos = g_pos @ sw
-    d_hneg = g_neg @ sw
-    d_summ = g_pos.T @ h_pos @ w_disc + g_neg.T @ h_neg @ w_disc  # M x h
+    def backward(ax, out, mask):
+        """ax.T @ (out * mask): the gradient's contribution through one graph."""
+        if mask is not None:
+            np.multiply(out, mask, out=out)
+        return ax.T @ out
 
-    d_we = ax_base.T @ (d_hpos * _activate_grad_mask(z_pos, activation))
-    d_we += ax_shuf.T @ (d_hneg * _activate_grad_mask(z_neg, activation))
-    d_means = d_summ * summaries * (1 - summaries)
-    for j in range(m):
-        d_hj = np.broadcast_to(d_means[j] / n, h_views[j].shape)
-        d_we += ax_views[j].T @ (d_hj * _activate_grad_mask(z_views[j], activation))
+    def loss_and_grads(w_enc: np.ndarray, w_disc: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+        forward(ax_base, w_enc, h_pos, masks[0])
+        forward(ax_shuf, w_enc, h_neg, masks[1])
+        # One buffer serves every view: only its readout and its mask are kept.
+        summaries = np.stack(
+            [readout(forward(ax, w_enc, work, masks[2 + j])) for j, ax in enumerate(ax_views)]
+        )  # M x h
 
-    return float(loss), {"w_enc": d_we, "w_disc": d_wd}
+        logits_pos = np.matmul(h_pos, w_disc, out=work) @ summaries.T  # N x M
+        logits_neg = np.matmul(h_neg, w_disc, out=work) @ summaries.T
+        p = sigmoid(logits_pos)
+        q = sigmoid(logits_neg)
+        pc = np.clip(p, PROB_CLIP, 1 - PROB_CLIP)
+        qc = np.clip(q, PROB_CLIP, 1 - PROB_CLIP)
+        loss = -scale * (np.log(pc).sum() + np.log(1 - qc).sum())
+
+        # Gradient w.r.t. the discriminator logits; zero where the clip is active.
+        g_pos = -scale * (p * (1 - p) / pc) * (p == pc)
+        g_neg = scale * (q * (1 - q) / (1 - qc)) * (q == qc)
+
+        d_wd = h_pos.T @ g_pos @ summaries + h_neg.T @ g_neg @ summaries
+        sw = summaries @ w_disc.T  # row j is w_disc @ s_j
+        d_summ = g_pos.T @ h_pos @ w_disc + g_neg.T @ h_neg @ w_disc  # M x h
+
+        d_we = backward(ax_base, np.matmul(g_pos, sw, out=grad), masks[0])
+        d_we += backward(ax_shuf, np.matmul(g_neg, sw, out=grad), masks[1])
+        d_means = d_summ * summaries * (1 - summaries)
+        for j in range(m):
+            grad[...] = d_means[j] / n  # every row of the view's gradient
+            d_we += backward(ax_views[j], grad, masks[2 + j])
+
+        return float(loss), {"w_enc": d_we, "w_disc": d_wd}
+
+    return loss_and_grads
 
 
 def contrastive_loss(
@@ -150,15 +152,12 @@ def contrastive_loss(
     shuffled: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Binary cross-entropy contrast between positive and negative pairs."""
-    if not views:
-        raise ValueError("need at least one view")
     a_base = renormalized_adjacency(g_base)
     ax_base = spmm(a_base, features)
     ax_shuf = spmm(a_base, shuffled)
     ax_views = [spmm(renormalized_adjacency(v), features) for v in views]
-    return _loss_and_grads(
-        model.w_enc, model.w_disc, ax_base, ax_shuf, ax_views, model.activation
-    )
+    epoch = _contrastive_epoch(ax_base, ax_shuf, ax_views, model.activation, model.w_enc.shape[1])
+    return epoch(model.w_enc, model.w_disc)
 
 
 def train_encoder(
@@ -170,7 +169,9 @@ def train_encoder(
     """Adam loop on the contrastive loss with patience-based early stopping.
 
     Returns the best-loss model, its embeddings on the base graph and their
-    pre-activation A_hat X W (see ``preactivation``).
+    pre-activation A_hat X W. The pre-activation takes both signs, so cosines
+    between its rows span [-1, 1]; the refinement thresholds are set on that
+    scale.
     """
     rng = make_rng(seed)
     model = init_encoder(features.shape[1], config, rng)
@@ -182,13 +183,12 @@ def train_encoder(
 
     params = {"w_enc": model.w_enc, "w_disc": model.w_disc}
     state = adam_init(params, config.lr)
+    loss_and_grads = _contrastive_epoch(ax_base, ax_shuf, ax_views, config.activation, config.hidden)
     best = {k: v.copy() for k, v in params.items()}
     best_loss = np.inf
     stale = 0
     for epoch in range(config.epochs):
-        loss, grads = _loss_and_grads(
-            params["w_enc"], params["w_disc"], ax_base, ax_shuf, ax_views, config.activation
-        )
+        loss, grads = loss_and_grads(params["w_enc"], params["w_disc"])
         if not np.isfinite(loss):
             raise NumericError(f"contrastive loss diverged at epoch {epoch}")
         if loss < best_loss - 1e-9:

@@ -19,3 +19,14 @@ def random_undirected_graph(n: int, density: float, rng: np.random.Generator) ->
 def toy_graph(n=8):
     ring = [(i, (i + 1) % n) for i in range(n)]
     return SparseGraph.from_edges(n, ring + [(2, 5)])
+
+
+def masked_sigmoid(x):
+    """The sigmoid as a boolean-mask gather and scatter, split by sign: the
+    oracle that ``linalg.sigmoid`` must match bit for bit."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_undirected_graph
 from robustgsl.attack import (
     AttackBudget,
+    PerturbationRecord,
     apply_perturbation,
     dice_attack,
     perturbation_diff,
@@ -113,6 +114,35 @@ class TestDrawSequences:
         assert (len(record.added), len(record.removed)) == (171, 157)
         assert _digest(record.added) == "a7f176eaf34c7d528010a46b3d312bda12d23bc6ffad25c61374112dd6b0846c"
         assert _digest(record.removed) == "72b2c1e4cdd646e78b797f9f67b262c01b6043b548cea5dd4c46f7bc2c8a90bc"
+
+
+class TestApplyPerturbation:
+    @staticmethod
+    def _set_reference(g, record):
+        """The tuple-set form: stored pairs minus the removals, plus the additions."""
+        edges = g.edge_set()
+        edges -= record.removed
+        edges |= record.added
+        return SparseGraph.from_edges(g.num_nodes, sorted(edges))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_set_reference_byte_for_byte(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 25
+        g = random_undirected_graph(n, 0.2, rng)
+        present = g.edges()
+        picks = rng.choice(len(present), size=len(present) // 3, replace=False)
+        removed = {present[i] for i in picks}
+        # Pairs that match no stored edge as written: a reversed stored pair, an
+        # absent pair, ids out of range (one whose u * n + v key is a stored edge's).
+        u, v = next(e for e in reversed(present) if e not in removed and e[0] > 0)
+        removed |= {(v, u), (0, 0), (n + 1, 3), (0, n * u + v)}
+        added = {tuple(int(i) for i in rng.integers(n, size=2)) for _ in range(8)} | {present[1]}
+        record = PerturbationRecord(added=added, removed=removed)
+        got, want = apply_perturbation(g, record), self._set_reference(g, record)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got.adj, name), getattr(want.adj, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestPerturbationDiff:

@@ -322,6 +322,57 @@ class TestErrorExitCodes:
         assert main(argv + ["--out", str(tmp_path / "refined")]) == 2
         assert str(preact) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("embed", "--epochs", "0"),
+            ("embed", "--epochs", "-3"),
+            ("embed", "--lr", "-1"),
+            ("embed", "--lr", "0"),
+            ("embed", "--lr", "nan"),
+            ("embed", "--lr", "inf"),
+            ("embed", "--patience", "0"),
+            ("train", "--epochs", "0"),
+            ("train", "--lr", "-1"),
+            ("train", "--weight-decay", "-1"),
+            ("train", "--weight-decay", "nan"),
+        ],
+    )
+    def test_bad_hyperparameter_rejected(self, poisoned_dir, tmp_path, command, flag, value, capsys):
+        argv = [command, "--in", str(poisoned_dir), flag, value]
+        if command == "embed":
+            argv += ["--pre", str(tmp_path / "pre"), "--out", str(tmp_path / "emb.txt")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+        assert not (tmp_path / "emb.txt").exists()
+
+    @pytest.mark.parametrize("damage", ["missing", "malformed"])
+    def test_refine_clean_edges_checked(self, clean_dir, poisoned_dir, tmp_path, damage, capsys):
+        import shutil
+
+        pre = tmp_path / "pre"
+        assert main(["preprocess", "--in", str(poisoned_dir), "--out", str(pre)]) == 0
+        z = make_rng(0).normal(size=(60, 4))
+        save_features(z, tmp_path / "emb.txt")
+        save_features(z, tmp_path / "emb.preact.txt")
+        clean = tmp_path / "clean"
+        shutil.copytree(clean_dir, clean)
+        edges = clean / "edges.tsv"
+        if damage == "missing":
+            edges.unlink()
+        else:
+            edges.write_text("0\t1\n2\tx\n")
+        capsys.readouterr()
+        argv = ["refine", "--in", str(poisoned_dir), "--pre", str(pre), "--embeddings",
+                str(tmp_path / "emb.txt"), "--clean", str(clean), "--out", str(tmp_path / "refined")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(edges) in err
+        if damage == "malformed":
+            assert f"{edges}:2" in err
+
     def test_corrupt_bundle_file(self, clean_dir, tmp_path, capsys):
         import shutil
 

@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from conftest import random_undirected_graph, toy_graph
+from conftest import masked_sigmoid, random_undirected_graph, toy_graph
 from robustgsl.encoder import (
+    PROB_CLIP,
     EncoderConfig,
     EncoderModel,
+    _contrastive_epoch,
     contrastive_loss,
-    encode,
     init_encoder,
-    preactivation,
     readout,
     shuffle_features,
     train_encoder,
 )
-from robustgsl.linalg import grad_check, make_rng, sigmoid
+from robustgsl.graph import renormalized_adjacency
+from robustgsl.linalg import adam_init, adam_step, grad_check, make_rng, sigmoid, spmm
 from robustgsl.preprocess import ViewBundle, make_views
 
 
@@ -29,50 +30,39 @@ def small_instance(n=8, d=5, h=4, m=2, seed=0):
     return model, bundle, x, shuffled
 
 
+def trained_on_random_graph(rng, n=12, d=6, h=4, activation="relu"):
+    """train_encoder on a random graph with normal features and one view."""
+    g = random_undirected_graph(n, 0.3, rng)
+    x = rng.normal(size=(n, d))
+    bundle = ViewBundle(base=g, views=[g])
+    config = EncoderConfig(hidden=h, epochs=5, activation=activation)
+    model, emb, z = train_encoder(bundle, x, config, seed=0)
+    return g, x, model, emb, z
+
+
 class TestEncodeReadout:
     def test_embedding_shape(self, rng):
-        g = random_undirected_graph(12, 0.3, rng)
-        x = rng.random((12, 6))
-        model = init_encoder(6, EncoderConfig(hidden=4), rng)
-        assert encode(model, x, g).shape == (12, 4)
+        _, _, _, emb, z = trained_on_random_graph(rng)
+        assert emb.shape == z.shape == (12, 4)
 
     def test_relu_embeddings_nonnegative(self, rng):
-        g = random_undirected_graph(12, 0.3, rng)
-        x = rng.normal(size=(12, 6))
-        model = init_encoder(6, EncoderConfig(hidden=4), rng)
-        assert np.all(encode(model, x, g) >= 0)
+        _, _, _, emb, _ = trained_on_random_graph(rng)
+        assert np.all(emb >= 0)
 
     def test_linear_activation_matches_oracle(self, rng):
-        from robustgsl.graph import renormalized_adjacency
-
-        g = random_undirected_graph(10, 0.3, rng)
-        x = rng.normal(size=(10, 5))
-        model = init_encoder(5, EncoderConfig(hidden=3, activation="linear"), rng)
+        g, x, model, emb, z = trained_on_random_graph(rng, n=10, d=5, h=3, activation="linear")
         expected = renormalized_adjacency(g).toarray() @ x @ model.w_enc
-        np.testing.assert_allclose(encode(model, x, g), expected, atol=1e-12)
-
-    def test_feature_dim_mismatch(self, rng):
-        g = random_undirected_graph(10, 0.3, rng)
-        model = init_encoder(5, EncoderConfig(hidden=3), rng)
-        with pytest.raises(ValueError, match="dim"):
-            encode(model, rng.random((10, 7)), g)
+        np.testing.assert_allclose(emb, expected, atol=1e-12)
+        np.testing.assert_array_equal(emb, z)
 
     def test_preactivation_matches_oracle(self, rng):
-        from robustgsl.graph import renormalized_adjacency
-        from robustgsl.linalg import spmm
-
-        g = random_undirected_graph(10, 0.3, rng)
-        x = rng.normal(size=(10, 5))
-        model = init_encoder(5, EncoderConfig(hidden=3), rng)
-        z = preactivation(model, x, g)
+        g, x, model, _, z = trained_on_random_graph(rng, n=10, d=5, h=3)
         np.testing.assert_array_equal(z, spmm(renormalized_adjacency(g), x) @ model.w_enc)
         assert np.any(z < 0)
 
-    def test_relu_of_preactivation_is_encode(self, rng):
-        g = random_undirected_graph(12, 0.3, rng)
-        x = rng.normal(size=(12, 6))
-        model = init_encoder(6, EncoderConfig(hidden=4), rng)
-        np.testing.assert_array_equal(np.maximum(preactivation(model, x, g), 0.0), encode(model, x, g))
+    def test_relu_of_preactivation_is_embeddings(self, rng):
+        _, _, _, emb, z = trained_on_random_graph(rng)
+        assert np.maximum(z, 0.0).tobytes() == emb.tobytes()
 
     def test_readout_is_sigmoid_of_mean(self, rng):
         h = rng.normal(size=(9, 4))
@@ -149,7 +139,8 @@ class TestTrainEncoder:
         model, emb, _ = train_encoder(bundle, x, config, seed=3)
         expected = init_encoder(5, config, make_rng(3))
         np.testing.assert_array_equal(model.w_enc, expected.w_enc)
-        np.testing.assert_array_equal(emb, encode(model, x, bundle.base))
+        ax = spmm(renormalized_adjacency(bundle.base), x)
+        np.testing.assert_array_equal(emb, np.maximum(ax @ model.w_enc, 0.0))
 
     def test_deterministic(self):
         _, bundle, x, _ = small_instance()
@@ -163,3 +154,140 @@ class TestTrainEncoder:
         _, bundle, x, _ = small_instance()
         _, emb, _ = train_encoder(bundle, x, EncoderConfig(hidden=6, epochs=10), seed=1)
         assert emb.shape == (8, 6)
+
+
+def _reference_loss_and_grads(w_enc, w_disc, ax_base, ax_shuf, ax_views, activation):
+    """The contrastive epoch as plain expressions, with a fresh array for every
+    intermediate and float masks; the buffered epoch must match it bit for bit."""
+
+    def act(z):
+        return np.maximum(z, 0.0) if activation == "relu" else z
+
+    def mask(z):
+        return (z > 0).astype(float) if activation == "relu" else np.ones_like(z)
+
+    n = ax_base.shape[0]
+    m = len(ax_views)
+
+    z_pos = ax_base @ w_enc
+    h_pos = act(z_pos)
+    z_neg = ax_shuf @ w_enc
+    h_neg = act(z_neg)
+
+    z_views = [ax @ w_enc for ax in ax_views]
+    h_views = [act(z) for z in z_views]
+    means = np.stack([h.mean(axis=0) for h in h_views])
+    summaries = masked_sigmoid(means)
+
+    logits_pos = h_pos @ w_disc @ summaries.T
+    logits_neg = h_neg @ w_disc @ summaries.T
+    p = masked_sigmoid(logits_pos)
+    q = masked_sigmoid(logits_neg)
+    pc = np.clip(p, PROB_CLIP, 1 - PROB_CLIP)
+    qc = np.clip(q, PROB_CLIP, 1 - PROB_CLIP)
+    scale = 1.0 / (2.0 * n * m)
+    loss = -scale * (np.log(pc).sum() + np.log(1 - qc).sum())
+
+    g_pos = -scale * (p * (1 - p) / pc) * (p == pc)
+    g_neg = scale * (q * (1 - q) / (1 - qc)) * (q == qc)
+
+    d_wd = h_pos.T @ g_pos @ summaries + h_neg.T @ g_neg @ summaries
+    sw = summaries @ w_disc.T
+    d_hpos = g_pos @ sw
+    d_hneg = g_neg @ sw
+    d_summ = g_pos.T @ h_pos @ w_disc + g_neg.T @ h_neg @ w_disc
+
+    d_we = ax_base.T @ (d_hpos * mask(z_pos))
+    d_we += ax_shuf.T @ (d_hneg * mask(z_neg))
+    d_means = d_summ * summaries * (1 - summaries)
+    for j in range(m):
+        d_hj = np.broadcast_to(d_means[j] / n, h_views[j].shape)
+        d_we += ax_views[j].T @ (d_hj * mask(z_views[j]))
+
+    return float(loss), {"w_enc": d_we, "w_disc": d_wd}
+
+
+def _products(num_views, n=40, d=7, seed=0):
+    """A_hat X products of a random instance: base, shuffled and M views."""
+    rng = make_rng(seed)
+    base = random_undirected_graph(n, 0.15, rng)
+    views = [random_undirected_graph(n, 0.15, rng) for _ in range(num_views)]
+    x = rng.normal(size=(n, d))
+    a_base = renormalized_adjacency(base)
+    return (
+        spmm(a_base, x),
+        spmm(a_base, shuffle_features(x, seed + 1)),
+        [spmm(renormalized_adjacency(v), x) for v in views],
+    )
+
+
+def _bits(loss, grads):
+    return np.float64(loss).tobytes(), grads["w_enc"].tobytes(), grads["w_disc"].tobytes()
+
+
+class TestContrastiveEpoch:
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    @pytest.mark.parametrize("num_views", [1, 3])
+    def test_bitwise_equal_to_reference_over_calls(self, activation, num_views):
+        ax_base, ax_shuf, ax_views = _products(num_views)
+        h = 5
+        epoch = _contrastive_epoch(ax_base, ax_shuf, ax_views, activation, h)
+        rng = make_rng(num_views)
+        for call in range(4):
+            # Fresh weights on every call: stale buffer state would show.
+            w_enc = rng.normal(size=(ax_base.shape[1], h))
+            w_disc = rng.normal(size=(h, h)) * (call + 1)
+            got = epoch(w_enc, w_disc)
+            want = _reference_loss_and_grads(w_enc, w_disc, ax_base, ax_shuf, ax_views, activation)
+            assert _bits(*got) == _bits(*want), f"call {call}"
+
+    def test_returned_gradients_survive_next_call(self):
+        ax_base, ax_shuf, ax_views = _products(2)
+        epoch = _contrastive_epoch(ax_base, ax_shuf, ax_views, "relu", 4)
+        rng = make_rng(3)
+        w1 = rng.normal(size=(7, 4)), rng.normal(size=(4, 4))
+        loss1, grads1 = epoch(*w1)
+        kept = _bits(loss1, grads1)
+        epoch(rng.normal(size=(7, 4)), rng.normal(size=(4, 4)))
+        assert _bits(loss1, grads1) == kept
+        assert _bits(*epoch(*w1)) == kept
+
+    def test_unknown_activation(self):
+        ax_base, ax_shuf, ax_views = _products(1)
+        with pytest.raises(ValueError, match="activation"):
+            _contrastive_epoch(ax_base, ax_shuf, ax_views, "tanh", 4)
+
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    def test_train_encoder_bitwise_equal_to_reference_loop(self, activation):
+        _, bundle, x, _ = small_instance(n=8, d=5, h=4, m=3)
+        config = EncoderConfig(hidden=4, epochs=60, patience=5, activation=activation)
+        model, emb, z = train_encoder(bundle, x, config, seed=4)
+
+        # The loop as written before the epoch kept its buffers.
+        rng = make_rng(4)
+        init = init_encoder(x.shape[1], config, rng)
+        a_base = renormalized_adjacency(bundle.base)
+        ax_base = spmm(a_base, x)
+        ax_views = [spmm(renormalized_adjacency(v), x) for v in bundle.views]
+        ax_shuf = spmm(a_base, shuffle_features(x, int(rng.integers(2 ** 63))))
+        params = {"w_enc": init.w_enc, "w_disc": init.w_disc}
+        state = adam_init(params, config.lr)
+        best, best_loss, stale = dict(params), np.inf, 0
+        for _ in range(config.epochs):
+            loss, grads = _reference_loss_and_grads(
+                params["w_enc"], params["w_disc"], ax_base, ax_shuf, ax_views, activation
+            )
+            if loss < best_loss - 1e-9:
+                best_loss, best, stale = loss, {k: v.copy() for k, v in params.items()}, 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    break
+            params = adam_step(params, grads, state)
+        want_z = ax_base @ best["w_enc"]
+        want_emb = np.maximum(want_z, 0.0) if activation == "relu" else want_z
+
+        assert model.w_enc.tobytes() == best["w_enc"].tobytes()
+        assert model.w_disc.tobytes() == best["w_disc"].tobytes()
+        assert z.tobytes() == want_z.tobytes()
+        assert emb.tobytes() == want_emb.tobytes()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import masked_sigmoid
 from robustgsl.linalg import (
     NumericError,
     adam_init,
@@ -164,3 +165,25 @@ def test_rng_reproducible():
     a = make_rng(99).integers(0, 1 << 30, size=16)
     b = make_rng(99).integers(0, 1 << 30, size=16)
     np.testing.assert_array_equal(a, b)
+
+
+class TestSigmoid:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300,
+               709.8, -709.8, 745.2, -745.2, 800.0, -800.0, 5e-324, -5e-324]
+
+    def test_bitwise_equal_to_masked_form_on_special_values(self):
+        x = np.array(self.SPECIAL)
+        got, want = sigmoid(x), masked_sigmoid(x)
+        assert got.dtype == want.dtype
+        for xi, g, w in zip(x, got, want):
+            assert g.tobytes() == w.tobytes(), f"sigmoid({xi!r}): {g!r} != {w!r}"
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 30.0, 1e3])
+    def test_bitwise_equal_to_masked_form_on_normals(self, scale):
+        x = make_rng(7).normal(size=(200, 3)) * scale
+        assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+
+    def test_no_overflow_warning(self):
+        # exp(-800) underflows to 0, as in the masked form; nothing overflows.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            sigmoid(np.array([-800.0, 800.0]))
