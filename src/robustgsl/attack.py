@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Edge, SparseGraph, as_edge_array, canonical_edge, edge_difference, edge_keys, edge_tuples
+from .graph import Edge, SparseGraph, as_edge_array, canonical_edge, edge_difference, edge_keys
 from .linalg import make_rng
 
 
@@ -26,8 +26,11 @@ class AttackBudget:
 
 @dataclass
 class PerturbationRecord:
-    added: set = field(default_factory=set)
-    removed: set = field(default_factory=set)
+    """The edges an attack added and removed, each a sorted (E, 2) int64
+    array of pairs (u, v) with u < v."""
+
+    added: np.ndarray
+    removed: np.ndarray
     complete: bool = True
 
     @property
@@ -36,8 +39,8 @@ class PerturbationRecord:
 
     def to_dict(self) -> dict:
         return {
-            "added": sorted(list(e) for e in self.added),
-            "removed": sorted(list(e) for e in self.removed),
+            "added": self.added.tolist(),
+            "removed": self.removed.tolist(),
             "complete": self.complete,
         }
 
@@ -50,10 +53,9 @@ def apply_perturbation(g: SparseGraph, record: PerturbationRecord) -> SparseGrap
     """
     n = g.num_nodes
     edges = g.edge_array()
-    removed = as_edge_array(record.removed)
-    removed = removed[((removed >= 0) & (removed < n)).all(axis=1)]
+    removed = record.removed[((record.removed >= 0) & (record.removed < n)).all(axis=1)]
     kept = edges[np.isin(edge_keys(edges, n), edge_keys(removed, n), invert=True)]
-    return SparseGraph.from_edges(n, np.concatenate((kept, as_edge_array(record.added))))
+    return SparseGraph.from_edges(n, np.concatenate((kept, record.added)))
 
 
 def _sample_nonedge(rng: np.random.Generator, n: int, forbidden: set, labels=None) -> Edge | None:
@@ -92,31 +94,31 @@ def random_attack(
     """Each budgeted change is an addition with probability add_fraction,
     else a uniform deletion; falls back to the other move when a pool runs out."""
     rng = make_rng(budget.seed)
-    clean = g.edge_set()
-    target = budget.num_changes(len(clean))
-    record = PerturbationRecord()
+    target = budget.num_changes(g.num_edges)
     n = g.num_nodes
-    deletable = sorted(clean)
+    deletable = g.edges()
     # Every clean edge and every addition: removed edges are not re-added.
-    forbidden = set(clean)
-    while record.num_changes < target:
+    forbidden = set(deletable)
+    added, removed = set(), set()
+    while len(added) + len(removed) < target:
         want_add = rng.random() < add_fraction
-        added = None
+        e = None
         if want_add:
-            added = _sample_nonedge(rng, n, forbidden)
-        if added is None and deletable:
+            e = _sample_nonedge(rng, n, forbidden)
+        if e is None and deletable:
             idx = int(rng.integers(len(deletable)))
-            record.removed.add(deletable.pop(idx))
+            removed.add(deletable.pop(idx))
             continue
-        if added is None and not want_add:
-            added = _sample_nonedge(rng, n, forbidden)
-        if added is None:
+        if e is None and not want_add:
+            e = _sample_nonedge(rng, n, forbidden)
+        if e is None:
             raise ValueError(
                 f"budget of {target} changes is infeasible: both edge pools exhausted "
-                f"after {record.num_changes} changes"
+                f"after {len(added) + len(removed)} changes"
             )
-        record.added.add(added)
-        forbidden.add(added)
+        added.add(e)
+        forbidden.add(e)
+    record = PerturbationRecord(as_edge_array(sorted(added)), as_edge_array(sorted(removed)))
     return apply_perturbation(g, record), record
 
 
@@ -131,13 +133,15 @@ def dice_attack(
     if np.any(labels < 0):
         raise ValueError("dice attack requires a label for every node")
     rng = make_rng(budget.seed)
-    clean = g.edge_set()
-    target = budget.num_changes(len(clean))
-    record = PerturbationRecord()
+    target = budget.num_changes(g.num_edges)
     n = g.num_nodes
-    intra = sorted(e for e in clean if labels[e[0]] == labels[e[1]])
-    present = set(clean)
-    while record.num_changes < target:
+    # One tuple per edge, shared by the deletion pool and the presence set.
+    edges = g.edges()
+    intra = [e for e in edges if labels[e[0]] == labels[e[1]]]
+    present = set(edges)
+    added, removed = set(), set()
+    complete = True
+    while len(added) + len(removed) < target:
         want_add = rng.random() < add_fraction
         moved = False
         order = ("add", "del") if want_add else ("del", "add")
@@ -145,7 +149,7 @@ def dice_attack(
             if move == "add":
                 e = _sample_nonedge(rng, n, present, labels=labels)
                 if e is not None:
-                    record.added.add(e)
+                    added.add(e)
                     present.add(e)
                     moved = True
                     break
@@ -153,18 +157,19 @@ def dice_attack(
                 if intra:
                     idx = int(rng.integers(len(intra)))
                     e = intra.pop(idx)
-                    record.removed.add(e)
+                    removed.add(e)
                     present.discard(e)
                     moved = True
                     break
         if not moved:
-            record.complete = False
+            complete = False
             warnings.warn(
-                f"dice pools exhausted after {record.num_changes} of {target} changes;"
+                f"dice pools exhausted after {len(added) + len(removed)} of {target} changes;"
                 " returning a partial perturbation",
                 stacklevel=2,
             )
             break
+    record = PerturbationRecord(as_edge_array(sorted(added)), as_edge_array(sorted(removed)), complete)
     return apply_perturbation(g, record), record
 
 
@@ -175,6 +180,6 @@ def perturbation_diff(clean: SparseGraph, poisoned: SparseGraph) -> Perturbation
             f"node-count mismatch: clean has {clean.num_nodes}, poisoned has {poisoned.num_nodes}"
         )
     return PerturbationRecord(
-        added=edge_tuples(edge_difference(poisoned, clean)),
-        removed=edge_tuples(edge_difference(clean, poisoned)),
+        added=edge_difference(poisoned, clean),
+        removed=edge_difference(clean, poisoned),
     )

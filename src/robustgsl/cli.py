@@ -11,6 +11,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .attack import AttackBudget, dice_attack, random_attack
 from .classifier import ClassifierConfig, accuracy, predict, train_classifier
 from .data_io import (
@@ -28,7 +30,7 @@ from .data_io import (
     write_report,
 )
 from .encoder import EncoderConfig, train_encoder
-from .graph import SparseGraph, edge_difference, edge_tuples
+from .graph import SparseGraph, edge_difference
 from .linalg import NumericError
 from .pipeline import (
     SWEEPABLE,
@@ -68,6 +70,7 @@ def _checked(cast, ok, requirement):
 
 
 _at_least_one = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_non_negative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 
@@ -96,8 +99,7 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
 
 def _seed_list(args) -> list[int]:
     base = args.seed if args.seed is not None else 0
-    count = getattr(args, "seeds", None) or 1
-    return [base + i for i in range(count)]
+    return [base + i for i in range(args.seeds)]
 
 
 def cmd_synth(args) -> int:
@@ -164,25 +166,15 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _load_view_bundle(bundle: GraphBundle, pre_dir) -> ViewBundle:
-    pre = Path(pre_dir)
-    meta = read_report(pre / "preprocess.json")
-    n = bundle.graph.num_nodes
+def _load_view_bundle(pre: Path, n: int) -> ViewBundle:
+    """The base graph and the views that `preprocess` wrote to pre."""
     base = load_edges(pre / "preprocessed_edges.tsv", n)
-    removed_graph = (
-        load_edges(pre / "removed_edges.tsv", n)
-        if (pre / "removed_edges.tsv").exists()
-        else None
-    )
-    removed = removed_graph.edge_set() if removed_graph is not None else set()
     views = []
-    j = 0
-    while (pre / f"view_{j}.tsv").exists():
-        views.append(load_edges(pre / f"view_{j}.tsv", n))
-        j += 1
+    while (pre / f"view_{len(views)}.tsv").exists():
+        views.append(load_edges(pre / f"view_{len(views)}.tsv", n))
     if not views:
         raise ConfigError(f"no view_*.tsv files in {pre}")
-    return ViewBundle(base=base, removed=removed, views=views, seed=int(meta.get("seed", 0)))
+    return ViewBundle(base=base, views=views)
 
 
 def _preactivation_path(embeddings_path) -> Path:
@@ -193,7 +185,7 @@ def _preactivation_path(embeddings_path) -> Path:
 
 def cmd_embed(args) -> int:
     bundle = load_graph_bundle(args.in_dir)
-    views = _load_view_bundle(bundle, args.pre)
+    views = _load_view_bundle(Path(args.pre), bundle.graph.num_nodes)
     config = EncoderConfig(hidden=args.hidden, lr=args.lr, epochs=args.epochs, patience=args.patience)
     _, embeddings, z = train_encoder(views, bundle.features, config, args.seed if args.seed is not None else 0)
     save_features(embeddings, args.out)
@@ -205,23 +197,28 @@ def cmd_embed(args) -> int:
 
 def cmd_refine(args) -> int:
     bundle = load_graph_bundle(args.in_dir)
-    views = _load_view_bundle(bundle, args.pre)
+    n = bundle.graph.num_nodes
+    pre = Path(args.pre)
+    base = load_edges(pre / "preprocessed_edges.tsv", n)
     # Similarity is taken on the pre-activation, as in run_pipeline; there is
     # no fallback to the embeddings, whose cosines never fall to t2. A missing
     # file exits with code 2 and names it.
     z_path = _preactivation_path(args.embeddings)
     z = load_features(z_path)
-    if z.shape[0] != bundle.graph.num_nodes:
-        raise ConfigError(f"{z_path}: {z.shape[0]} rows, but the graph has {bundle.graph.num_nodes} nodes")
-    retained = prune_edges(views.base, z, args.t2)
+    if z.shape[0] != n:
+        raise ConfigError(f"{z_path}: {z.shape[0]} rows, but the graph has {n} nodes")
+    if args.clean:
+        # The audit needs the clean graph, on the poisoned bundle's nodes, and
+        # the edges that preprocess removed. Both are read before any output.
+        clean_graph = load_edges(Path(args.clean) / "edges.tsv", n)
+        removed_preprocess = load_edges(pre / "removed_edges.tsv", n).edge_array()
+    retained = prune_edges(base, z, args.t2)
     refined = topk_insert(retained, z, args.k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_edges(refined, out / "refined_edges.tsv")
     if args.clean:
-        # The audit needs only the clean graph, on the poisoned bundle's nodes.
-        clean_graph = load_edges(Path(args.clean) / "edges.tsv", bundle.graph.num_nodes)
-        removed = views.removed | edge_tuples(edge_difference(views.base, retained))
+        removed = np.concatenate((removed_preprocess, edge_difference(base, retained)))
         report = removal_report(clean_graph, bundle.graph, removed, bundle.labels)
         write_report(report, out / "removal_report.json")
         print(f"removal accuracy {report['accuracy']:.4f} over {report['total']} removals")
@@ -391,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--t2", type=float, default=defaults.t2, help="prune edges whose pre-activation cosine is at most t2"
     )
-    p.add_argument("--k", type=int, default=defaults.k, help="insert each node's k most similar peers")
+    p.add_argument(
+        "--k", type=_non_negative_int, default=defaults.k, help="insert each node's k most similar peers"
+    )
     p.add_argument("--clean", default=None, help="clean bundle for the removal audit")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_refine)
@@ -416,10 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--in", dest="in_dir", required=True)
         q.add_argument("--config", default=None)
-        q.add_argument("--seeds", type=int, default=1)
+        q.add_argument("--seeds", type=_at_least_one, default=1)
         preprocess_options(q)
         q.add_argument("--t2", type=float, default=None)
-        q.add_argument("--k", type=int, default=None)
+        q.add_argument("--k", type=_non_negative_int, default=None)
         q.add_argument("--alpha", type=float, default=None)
         q.add_argument("--beta", type=float, default=None)
         q.add_argument("--mode", choices=("advanced", "vanilla"), default=None)

@@ -33,10 +33,6 @@ def edge_keys(edges: np.ndarray, num_nodes: int) -> np.ndarray:
     return edges[:, 0] * num_nodes + edges[:, 1]
 
 
-def edge_tuples(edges: np.ndarray) -> set[Edge]:
-    return set(map(tuple, edges.tolist()))
-
-
 @dataclass(frozen=True)
 class SparseGraph:
     """Unweighted adjacency in CSR form. Self-loops are never stored.
@@ -91,7 +87,7 @@ class SparseGraph:
         return self.adj.nnz if self.directed else self.adj.nnz // 2
 
     def edge_set(self) -> set[Edge]:
-        return edge_tuples(self.edge_array())
+        return set(self.edges())
 
 
 def edge_difference(a: SparseGraph, b: SparseGraph) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 from .classifier import ClassifierConfig, train_classifier
 from .data_io import GraphBundle, summarize_runs
 from .encoder import EncoderConfig, train_encoder
-from .graph import SparseGraph, edge_difference, edge_tuples
+from .graph import SparseGraph, as_edge_array, edge_difference
 from .linalg import make_rng
 from .preprocess import (
     ViewBundle,
@@ -67,15 +67,15 @@ class PipelineConfig:
 class PipelineRun:
     accuracy: float
     stats: dict
-    removed_preprocess: set
-    removed_refine: set
+    removed_preprocess: np.ndarray  # sorted (E, 2) edge arrays, disjoint
+    removed_refine: np.ndarray
     refined_graph: SparseGraph
     embeddings: np.ndarray
     preactivation: np.ndarray  # what refinement measures similarity on
 
     @property
-    def removed_total(self) -> set:
-        return self.removed_preprocess | self.removed_refine
+    def removed_total(self) -> np.ndarray:
+        return np.unique(np.concatenate((self.removed_preprocess, self.removed_refine)), axis=0)
 
 
 def symmetrized(g: SparseGraph) -> SparseGraph:
@@ -83,7 +83,7 @@ def symmetrized(g: SparseGraph) -> SparseGraph:
     return SparseGraph.from_edges(g.num_nodes, g.edge_array(), directed=False)
 
 
-def build_views(base: SparseGraph, removed: set, config: PipelineConfig, seed: int) -> ViewBundle:
+def build_views(base: SparseGraph, removed: np.ndarray, config: PipelineConfig, seed: int) -> ViewBundle:
     """The encoder's augmentation views of the pre-processed graph."""
     aug = config.augmentation
     if aug == "recovery":
@@ -91,7 +91,7 @@ def build_views(base: SparseGraph, removed: set, config: PipelineConfig, seed: i
     if aug == "random":
         return random_perturb_views(base, config.recover_p, config.num_views, seed)
     if aug == "none":
-        return identical_views(base, config.num_views, seed)
+        return identical_views(base, config.num_views)
     raise ValueError(f"unknown augmentation {aug!r}")
 
 
@@ -108,7 +108,7 @@ def run_variant(
 
     g_in = bundle.graph
     if variant == "no-preprocess":
-        base, removed = g_in, set()
+        base, removed = g_in, as_edge_array([])
     else:
         base, removed = rough_preprocess(g_in, bundle.features, config.metric, config.t1)
 
@@ -119,7 +119,7 @@ def run_variant(
     _, embeddings, z = train_encoder(views, bundle.features, config.encoder, encoder_seed)
 
     retained = prune_edges(base, z, config.t2)
-    removed_refine = edge_tuples(edge_difference(base, retained))
+    removed_refine = edge_difference(base, retained)
     refined = topk_insert(retained, z, config.k)
 
     clf_graph = symmetrized(refined) if config.classifier_mode == "vanilla" else refined

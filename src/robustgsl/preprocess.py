@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Edge, SparseGraph, as_edge_array, canonical_edge, edge_tuples
+from .graph import Edge, SparseGraph, as_edge_array, canonical_edge
 from .linalg import EDGE_BLOCK, edge_cosines, make_rng
 
 METRICS = ("jaccard", "cosine")
@@ -60,15 +60,15 @@ def edge_scores(g: SparseGraph, features: np.ndarray, metric: str) -> dict[Edge,
 
 def rough_preprocess(
     g: SparseGraph, features: np.ndarray, metric: str, t1: float
-) -> tuple[SparseGraph, set]:
+) -> tuple[SparseGraph, np.ndarray]:
     """Drop every edge scoring strictly below t1.
 
-    Returns (pruned graph, removed edge set). Kept and removed edges
-    partition the input edge set.
+    Returns (pruned graph, removed edges as a sorted (E, 2) array). Kept and
+    removed edges partition the input edge set.
     """
     edges = g.edge_array()
     low = _score_array(edges, features, metric) < t1
-    return SparseGraph.from_edges(g.num_nodes, edges[~low]), edge_tuples(edges[low])
+    return SparseGraph.from_edges(g.num_nodes, edges[~low]), edges[low]
 
 
 @dataclass
@@ -76,16 +76,14 @@ class ViewBundle:
     """Pre-processed base graph plus M augmentation views.
 
     Each view's edges are the base edges plus a recovered subset of the
-    removed set (or random perturbations in the featureless/ablation modes).
+    removed edges (or random perturbations in the featureless/ablation modes).
     """
 
     base: SparseGraph
-    removed: set = field(default_factory=set)
-    views: list = field(default_factory=list)
-    seed: int = 0
+    views: list
 
 
-def make_views(base: SparseGraph, removed: set, p: float, m: int, seed: int) -> ViewBundle:
+def make_views(base: SparseGraph, removed, p: float, m: int, seed: int) -> ViewBundle:
     """M views, each independently recovering every removed edge with probability p."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"recovery probability must be in [0, 1], got {p}")
@@ -99,14 +97,14 @@ def make_views(base: SparseGraph, removed: set, p: float, m: int, seed: int) -> 
     for _ in range(m):
         mask = rng.random(len(ordered)) < p
         views.append(SparseGraph.from_edges(base.num_nodes, np.concatenate((base_edges, ordered[mask]))))
-    return ViewBundle(base=base, removed=set(removed), views=views, seed=seed)
+    return ViewBundle(base=base, views=views)
 
 
-def identical_views(base: SparseGraph, m: int, seed: int = 0) -> ViewBundle:
+def identical_views(base: SparseGraph, m: int) -> ViewBundle:
     """M copies of the base graph (no-augmentation ablation)."""
     if m < 1:
         raise ValueError("need at least one view")
-    return ViewBundle(base=base, removed=set(), views=[base] * m, seed=seed)
+    return ViewBundle(base=base, views=[base] * m)
 
 
 def random_perturb_views(base: SparseGraph, ratio: float, m: int, seed: int) -> ViewBundle:
@@ -124,7 +122,7 @@ def random_perturb_views(base: SparseGraph, ratio: float, m: int, seed: int) -> 
         raise ValueError(
             f"cannot remove and add {count} edges on a graph with {len(edges)} edges"
         )
-    present = edge_tuples(edges)
+    present = base.edge_set()
     views = []
     for _ in range(m):
         kept = np.ones(len(edges), dtype=bool)
@@ -141,4 +139,4 @@ def random_perturb_views(base: SparseGraph, ratio: float, m: int, seed: int) -> 
                 continue
             new_edges.add(e)
         views.append(SparseGraph.from_edges(n, np.concatenate((edges[kept], as_edge_array(new_edges)))))
-    return ViewBundle(base=base, removed=set(), views=views, seed=seed)
+    return ViewBundle(base=base, views=views)

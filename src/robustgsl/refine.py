@@ -98,10 +98,10 @@ def topk_insert(retained: SparseGraph, h: np.ndarray, k: int) -> SparseGraph:
 def removal_report(
     clean: SparseGraph,
     poisoned: SparseGraph,
-    removed: set,
+    removed,
     labels: np.ndarray,
 ) -> dict:
-    """Audit a removed-edge set against the attack ground truth.
+    """Audit removed (u, v) pairs, repeats counted once, against the attack ground truth.
 
     adversarial = removals that were attack additions; normal = removals of
     clean edges; accuracy = adversarial / total.

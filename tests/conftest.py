@@ -16,6 +16,11 @@ def random_undirected_graph(n: int, density: float, rng: np.random.Generator) ->
     return SparseGraph.from_edges(n, list(zip(iu[mask].tolist(), ju[mask].tolist())))
 
 
+def pairs(edges) -> set:
+    """The (u, v) rows of an (E, 2) edge array, or any pairs, as a set of tuples."""
+    return {(int(u), int(v)) for u, v in edges}
+
+
 def toy_graph(n=8):
     ring = [(i, (i + 1) % n) for i in range(n)]
     return SparseGraph.from_edges(n, ring + [(2, 5)])

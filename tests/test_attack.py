@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_undirected_graph
+from conftest import pairs, random_undirected_graph
 from robustgsl.attack import (
     AttackBudget,
     PerturbationRecord,
@@ -14,7 +14,7 @@ from robustgsl.attack import (
     random_attack,
 )
 from robustgsl.data_io import SbmSpec, generate_sbm
-from robustgsl.graph import SparseGraph
+from robustgsl.graph import SparseGraph, as_edge_array
 
 
 class TestRandomAttack:
@@ -28,7 +28,7 @@ class TestRandomAttack:
         n = 10
         g = SparseGraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
         _, record = random_attack(g, AttackBudget(0.1, 3))
-        assert not record.added
+        assert not pairs(record.added)
         assert len(record.removed) == round(0.1 * g.num_edges)
 
     def test_exact_budget(self, rng):
@@ -41,15 +41,15 @@ class TestRandomAttack:
         g = random_undirected_graph(30, 0.2, rng)
         a = random_attack(g, AttackBudget(0.15, 5))[1]
         b = random_attack(g, AttackBudget(0.15, 5))[1]
-        assert a.added == b.added and a.removed == b.removed
+        assert pairs(a.added) == pairs(b.added) and pairs(a.removed) == pairs(b.removed)
 
     def test_record_invariants(self, rng):
         g = random_undirected_graph(25, 0.2, rng)
         clean = g.edge_set()
         _, record = random_attack(g, AttackBudget(0.3, 11))
-        assert not (record.added & clean)
-        assert record.removed <= clean
-        assert not (record.added & record.removed)
+        assert not (pairs(record.added) & clean)
+        assert pairs(record.removed) <= clean
+        assert not (pairs(record.added) & pairs(record.removed))
 
 
 class TestDiceAttack:
@@ -66,7 +66,7 @@ class TestDiceAttack:
         g = SparseGraph.from_edges(6, [(0, 3), (1, 4), (2, 5)])
         lab = np.array([0, 0, 0, 1, 1, 1])
         _, record = dice_attack(g, lab, AttackBudget(1.0, 2))
-        assert not record.removed
+        assert not pairs(record.removed)
         assert len(record.added) == 3
 
     def test_exact_budget_on_sbm(self):
@@ -91,7 +91,7 @@ class TestDiceAttack:
 
 
 def _digest(edges) -> str:
-    return hashlib.sha256(json.dumps(sorted(edges)).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(sorted(edges.tolist())).encode()).hexdigest()
 
 
 class TestDrawSequences:
@@ -121,8 +121,8 @@ class TestApplyPerturbation:
     def _set_reference(g, record):
         """The tuple-set form: stored pairs minus the removals, plus the additions."""
         edges = g.edge_set()
-        edges -= record.removed
-        edges |= record.added
+        edges -= pairs(record.removed)
+        edges |= pairs(record.added)
         return SparseGraph.from_edges(g.num_nodes, sorted(edges))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -138,7 +138,9 @@ class TestApplyPerturbation:
         u, v = next(e for e in reversed(present) if e not in removed and e[0] > 0)
         removed |= {(v, u), (0, 0), (n + 1, 3), (0, n * u + v)}
         added = {tuple(int(i) for i in rng.integers(n, size=2)) for _ in range(8)} | {present[1]}
-        record = PerturbationRecord(added=added, removed=removed)
+        record = PerturbationRecord(
+            added=as_edge_array(sorted(added)), removed=as_edge_array(sorted(removed))
+        )
         got, want = apply_perturbation(g, record), self._set_reference(g, record)
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got.adj, name), getattr(want.adj, name)
@@ -155,15 +157,15 @@ class TestPerturbationDiff:
         g = SparseGraph.from_edges(6, [(1, 2)])
         g2 = SparseGraph.from_edges(6, [(1, 2), (0, 5)])
         record = perturbation_diff(g, g2)
-        assert record.added == {(0, 5)} and not record.removed
+        assert pairs(record.added) == {(0, 5)} and not pairs(record.removed)
 
     def test_matches_bruteforce_sets(self, rng):
         a = random_undirected_graph(50, 0.1, rng)
         b = random_undirected_graph(50, 0.1, rng)
         record = perturbation_diff(a, b)
         ea, eb = set(a.edges()), set(b.edges())
-        assert record.added == eb - ea
-        assert record.removed == ea - eb
+        assert pairs(record.added) == eb - ea
+        assert pairs(record.removed) == ea - eb
 
     def test_node_count_mismatch(self, rng):
         with pytest.raises(ValueError, match="mismatch"):

@@ -336,6 +336,13 @@ class TestErrorExitCodes:
             ("train", "--lr", "-1"),
             ("train", "--weight-decay", "-1"),
             ("train", "--weight-decay", "nan"),
+            ("pipeline", "--seeds", "0"),
+            ("ablate", "--seeds", "0"),
+            ("sweep", "--seeds", "0"),
+            ("pipeline", "--k", "-1"),
+            ("ablate", "--k", "-1"),
+            ("sweep", "--k", "-1"),
+            ("refine", "--k", "-1"),
         ],
     )
     def test_bad_hyperparameter_rejected(self, poisoned_dir, tmp_path, command, flag, value, capsys):
@@ -370,8 +377,25 @@ class TestErrorExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert str(edges) in err
+        assert not (tmp_path / "refined").exists()
         if damage == "malformed":
             assert f"{edges}:2" in err
+
+    def test_refine_clean_needs_removed_edges(self, clean_dir, poisoned_dir, tmp_path, capsys):
+        # The audit counts the pre-process removals too; without their file it
+        # stops rather than audit refinement's removals alone.
+        pre = tmp_path / "pre"
+        assert main(["preprocess", "--in", str(poisoned_dir), "--out", str(pre)]) == 0
+        (pre / "removed_edges.tsv").unlink()
+        z = make_rng(0).normal(size=(60, 4))
+        save_features(z, tmp_path / "emb.txt")
+        save_features(z, tmp_path / "emb.preact.txt")
+        capsys.readouterr()
+        argv = ["refine", "--in", str(poisoned_dir), "--pre", str(pre), "--embeddings",
+                str(tmp_path / "emb.txt"), "--clean", str(clean_dir), "--out", str(tmp_path / "refined")]
+        assert main(argv) == 2
+        assert f"missing file: {pre / 'removed_edges.tsv'}" in capsys.readouterr().err
+        assert not (tmp_path / "refined").exists()
 
     def test_corrupt_bundle_file(self, clean_dir, tmp_path, capsys):
         import shutil

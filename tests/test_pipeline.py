@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from robustgsl.attack import AttackBudget, dice_attack
+from conftest import pairs
+from robustgsl.attack import AttackBudget, dice_attack, random_attack
 from robustgsl.data_io import GraphBundle, SbmSpec, generate_sbm
 from robustgsl.encoder import EncoderConfig
 from robustgsl.classifier import ClassifierConfig
 from robustgsl.graph import SparseGraph
+from robustgsl.preprocess import rough_preprocess
 from robustgsl.refine import embedding_similarity
 from robustgsl.pipeline import (
     VARIANTS,
@@ -53,7 +55,7 @@ class TestRunVariant:
         assert s["edges_preprocessed"] + s["edges_removed_preprocess"] == s["edges_input"]
         assert s["edges_retained"] + s["edges_removed_refine"] == s["edges_preprocessed"]
         assert s["edges_refined_directed"] == 2 * s["edges_retained"] + s["edges_inserted_directed"]
-        assert run.removed_preprocess == run.removed_total - run.removed_refine
+        assert pairs(run.removed_preprocess) == pairs(run.removed_total) - pairs(run.removed_refine)
         assert 0.0 <= run.accuracy <= 1.0
         assert run.refined_graph.directed
 
@@ -84,20 +86,42 @@ class TestRunVariant:
         config = PipelineConfig()
         run = run_variant(bundle, config, "prune-only", seed=0)
         assert run.stats["edges_removed_refine"] > 0
-        base = poisoned.edge_set() - run.removed_preprocess
+        base = poisoned.edge_set() - pairs(run.removed_preprocess)
         expected = {
             e for e in base if embedding_similarity(run.preactivation, e[0], e[1]) <= config.t2
         }
-        assert run.removed_refine == expected
+        assert pairs(run.removed_refine) == expected
 
     def test_no_preprocess_skips_pruning(self, sbm):
         run = run_variant(sbm, fast_config(), "no-preprocess", seed=0)
         assert run.stats["edges_removed_preprocess"] == 0
-        assert not run.removed_preprocess
+        assert not pairs(run.removed_preprocess)
 
     def test_no_augmentation_recovers_nothing(self, sbm):
         run = run_variant(sbm, fast_config(), "no-augmentation", seed=0)
         assert run.stats["mean_recovered_per_view"] == 0.0
+
+    def test_stage_outputs_are_sorted_edge_arrays(self, sbm):
+        # Every stage hands on the edges it added or removed as an (E, 2) int64
+        # array of pairs u < v, sorted and without repeats.
+        def check(edges):
+            assert edges.dtype == np.int64 and edges.ndim == 2 and edges.shape[1] == 2
+            assert (edges[:, 0] < edges[:, 1]).all()
+            assert (np.diff(edges[:, 0] * sbm.graph.num_nodes + edges[:, 1]) > 0).all()
+
+        budget = AttackBudget(0.2, 3)
+        for _, record in (dice_attack(sbm.graph, sbm.labels, budget), random_attack(sbm.graph, budget)):
+            assert len(record.added) and len(record.removed)
+            check(record.added)
+            check(record.removed)
+        check(rough_preprocess(sbm.graph, sbm.features, "jaccard", 0.2)[1])
+        run = run_pipeline(sbm, fast_config(t1=0.2, t2=0.9), seed=0)
+        assert len(run.removed_preprocess) and len(run.removed_refine)
+        for edges in (run.removed_preprocess, run.removed_refine, run.removed_total):
+            check(edges)
+        assert not (pairs(run.removed_preprocess) & pairs(run.removed_refine))
+        union = pairs(run.removed_preprocess) | pairs(run.removed_refine)
+        assert list(map(tuple, run.removed_total.tolist())) == sorted(union)
 
     def test_unknown_variant(self, sbm):
         with pytest.raises(ValueError, match="unknown variant"):

