@@ -6,7 +6,7 @@ a degree-reweighted GCN classifier. Includes baseline structural attacks
 (random noise, DICE) and a synthetic SBM benchmark generator.
 """
 
-from .attack import AttackBudget, PerturbationRecord, apply_perturbation, dice_attack, perturbation_diff, random_attack
+from .attack import AttackBudget, PerturbationRecord, apply_perturbation, dice_attack, random_attack
 from .classifier import ClassifierConfig, ClassifierModel, accuracy, predict, train_classifier
 from .data_io import (
     DataSplit,

@@ -1,4 +1,4 @@
-"""Structural poisoning baselines (random noise, DICE) and perturbation audits."""
+"""Structural poisoning baselines: random noise and DICE."""
 
 from __future__ import annotations
 
@@ -7,8 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Edge, SparseGraph, as_edge_array, canonical_edge, edge_difference, edge_keys
+from .graph import Edge, SparseGraph, as_edge_array, canonical_edge, edge_keys
 from .linalg import make_rng
+
+# Probability that a change tries an addition before a deletion.
+ADD_FRACTION = 0.5
 
 
 @dataclass
@@ -88,45 +91,53 @@ def _sample_nonedge(rng: np.random.Generator, n: int, forbidden: set, labels=Non
     return pool[int(rng.integers(len(pool)))]
 
 
-def random_attack(
-    g: SparseGraph, budget: AttackBudget, add_fraction: float = 0.5
-) -> tuple[SparseGraph, PerturbationRecord]:
-    """Each budgeted change is an addition with probability add_fraction,
-    else a uniform deletion; falls back to the other move when a pool runs out."""
-    rng = make_rng(budget.seed)
-    target = budget.num_changes(g.num_edges)
-    n = g.num_nodes
-    deletable = g.edges()
-    # Every clean edge and every addition: removed edges are not re-added.
-    forbidden = set(deletable)
-    added, removed = set(), set()
+def _draw_changes(
+    rng: np.random.Generator, n: int, target: int, deletable: list, present: set, labels=None
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Make up to target changes, each the addition of an absent pair (an
+    inter-class one when labels are given) or the deletion of a uniform pick
+    from deletable.
+
+    A coin with P(add) = ADD_FRACTION picks each change's first move; the other
+    move is the fallback when the first one's pool is empty. present holds the
+    pairs that may not be added and grows with every addition. Returns the
+    added and removed edges as sorted (E, 2) int64 arrays, and whether all
+    target changes were made.
+    """
+    added, removed = [], []
+    complete = True
     while len(added) + len(removed) < target:
-        want_add = rng.random() < add_fraction
-        e = None
-        if want_add:
-            e = _sample_nonedge(rng, n, forbidden)
-        if e is None and deletable:
-            idx = int(rng.integers(len(deletable)))
-            removed.add(deletable.pop(idx))
-            continue
-        if e is None and not want_add:
-            e = _sample_nonedge(rng, n, forbidden)
-        if e is None:
-            raise ValueError(
-                f"budget of {target} changes is infeasible: both edge pools exhausted "
-                f"after {len(added) + len(removed)} changes"
-            )
-        added.add(e)
-        forbidden.add(e)
-    record = PerturbationRecord(as_edge_array(sorted(added)), as_edge_array(sorted(removed)))
+        add_first = rng.random() < ADD_FRACTION
+        for add in (add_first, not add_first):
+            if add:
+                e = _sample_nonedge(rng, n, present, labels)
+                if e is not None:
+                    present.add(e)
+                    added.append(e)
+                    break
+            elif deletable:
+                removed.append(deletable.pop(int(rng.integers(len(deletable)))))
+                break
+        else:
+            complete = False
+            break
+    return as_edge_array(sorted(added)), as_edge_array(sorted(removed)), complete
+
+
+def random_attack(g: SparseGraph, budget: AttackBudget) -> tuple[SparseGraph, PerturbationRecord]:
+    """Uniform additions of absent pairs and uniform deletions of edges; a
+    removed edge is never re-added."""
+    rng = make_rng(budget.seed)
+    deletable = g.edges()
+    # Always completes: the budget is at most |E|, and the pools (never refilled) hold all n(n-1)/2 pairs.
+    record = PerturbationRecord(
+        *_draw_changes(rng, g.num_nodes, budget.num_changes(g.num_edges), deletable, set(deletable))
+    )
     return apply_perturbation(g, record), record
 
 
 def dice_attack(
-    g: SparseGraph,
-    labels: np.ndarray,
-    budget: AttackBudget,
-    add_fraction: float = 0.5,
+    g: SparseGraph, labels: np.ndarray, budget: AttackBudget
 ) -> tuple[SparseGraph, PerturbationRecord]:
     """Disconnect internally, connect externally: deletions target intra-class
     edges, additions target inter-class non-edges. Needs full labels."""
@@ -134,52 +145,13 @@ def dice_attack(
         raise ValueError("dice attack requires a label for every node")
     rng = make_rng(budget.seed)
     target = budget.num_changes(g.num_edges)
-    n = g.num_nodes
-    # One tuple per edge, shared by the deletion pool and the presence set.
     edges = g.edges()
     intra = [e for e in edges if labels[e[0]] == labels[e[1]]]
-    present = set(edges)
-    added, removed = set(), set()
-    complete = True
-    while len(added) + len(removed) < target:
-        want_add = rng.random() < add_fraction
-        moved = False
-        order = ("add", "del") if want_add else ("del", "add")
-        for move in order:
-            if move == "add":
-                e = _sample_nonedge(rng, n, present, labels=labels)
-                if e is not None:
-                    added.add(e)
-                    present.add(e)
-                    moved = True
-                    break
-            else:
-                if intra:
-                    idx = int(rng.integers(len(intra)))
-                    e = intra.pop(idx)
-                    removed.add(e)
-                    present.discard(e)
-                    moved = True
-                    break
-        if not moved:
-            complete = False
-            warnings.warn(
-                f"dice pools exhausted after {len(added) + len(removed)} of {target} changes;"
-                " returning a partial perturbation",
-                stacklevel=2,
-            )
-            break
-    record = PerturbationRecord(as_edge_array(sorted(added)), as_edge_array(sorted(removed)), complete)
-    return apply_perturbation(g, record), record
-
-
-def perturbation_diff(clean: SparseGraph, poisoned: SparseGraph) -> PerturbationRecord:
-    """Exact edge-set difference between a clean and a poisoned graph."""
-    if clean.num_nodes != poisoned.num_nodes:
-        raise ValueError(
-            f"node-count mismatch: clean has {clean.num_nodes}, poisoned has {poisoned.num_nodes}"
+    record = PerturbationRecord(*_draw_changes(rng, g.num_nodes, target, intra, set(edges), labels))
+    if not record.complete:
+        warnings.warn(
+            f"dice pools exhausted after {record.num_changes} of {target} changes;"
+            " returning a partial perturbation",
+            stacklevel=2,
         )
-    return PerturbationRecord(
-        added=edge_difference(poisoned, clean),
-        removed=edge_difference(clean, poisoned),
-    )
+    return apply_perturbation(g, record), record

@@ -73,6 +73,7 @@ _at_least_one = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _non_negative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_finite = _checked(float, math.isfinite, "a finite number")
 
 
 def _load_config(path: str | None) -> PipelineConfig:
@@ -301,11 +302,15 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # Every value passes its flag's check before the first run trains anything.
+    parse = _non_negative_int if args.param == "k" else _finite
+    try:
+        values = [parse(v) for v in args.values.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"--values for --param {args.param}: {exc}") from exc
     bundle = load_graph_bundle(args.in_dir)
     config = _apply_overrides(_load_config(args.config), args)
     seeds = _seed_list(args)
-    caster = int if args.param == "k" else float
-    values = [caster(v) for v in args.values.split(",")]
     rows = sweep(bundle, config, args.param, values, seeds)
     for row in rows:
         print(f"{args.param}={row['value']}: {row['mean']:.4f} +/- {row['std']:.4f}")
@@ -335,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     def preprocess_options(p):
         # No defaults here: unset options keep the PipelineConfig value.
         p.add_argument("--metric", choices=("jaccard", "cosine"), default=None)
-        p.add_argument("--t1", type=float, default=None)
+        p.add_argument("--t1", type=_finite, default=None)
         p.add_argument("--recover-p", dest="recover_p", type=float, default=None)
         p.add_argument("--views", dest="num_views", type=int, default=None)
         p.add_argument("--aug", choices=("recovery", "random", "none"), default=None)
@@ -386,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="embedding file from embed; the pre-activation beside it (<stem>.preact<suffix>) is read",
     )
     p.add_argument(
-        "--t2", type=float, default=defaults.t2, help="prune edges whose pre-activation cosine is at most t2"
+        "--t2", type=_finite, default=defaults.t2, help="prune edges whose pre-activation cosine is at most t2"
     )
     p.add_argument(
         "--k", type=_non_negative_int, default=defaults.k, help="insert each node's k most similar peers"
@@ -399,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--graph", default=None, help="directed refined edge list")
     p.add_argument("--embeddings", default=None)
-    p.add_argument("--alpha", type=float, default=defaults.alpha)
-    p.add_argument("--beta", type=float, default=defaults.beta)
+    p.add_argument("--alpha", type=_finite, default=defaults.alpha)
+    p.add_argument("--beta", type=_finite, default=defaults.beta)
     p.add_argument("--hidden", type=int, default=defaults.classifier.hidden)
     p.add_argument("--lr", type=_positive, default=defaults.classifier.lr)
     p.add_argument(
@@ -417,10 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--config", default=None)
         q.add_argument("--seeds", type=_at_least_one, default=1)
         preprocess_options(q)
-        q.add_argument("--t2", type=float, default=None)
+        q.add_argument("--t2", type=_finite, default=None)
         q.add_argument("--k", type=_non_negative_int, default=None)
-        q.add_argument("--alpha", type=float, default=None)
-        q.add_argument("--beta", type=float, default=None)
+        q.add_argument("--alpha", type=_finite, default=None)
+        q.add_argument("--beta", type=_finite, default=None)
         q.add_argument("--mode", choices=("advanced", "vanilla"), default=None)
         common(q)
         return q

@@ -10,7 +10,6 @@ from robustgsl.attack import (
     PerturbationRecord,
     apply_perturbation,
     dice_attack,
-    perturbation_diff,
     random_attack,
 )
 from robustgsl.data_io import SbmSpec, generate_sbm
@@ -42,6 +41,24 @@ class TestRandomAttack:
         a = random_attack(g, AttackBudget(0.15, 5))[1]
         b = random_attack(g, AttackBudget(0.15, 5))[1]
         assert pairs(a.added) == pairs(b.added) and pairs(a.removed) == pairs(b.removed)
+
+    @pytest.mark.parametrize("rate", [0.5, 1.0])
+    def test_budget_always_completes(self, rate):
+        # Every density from empty to complete: the budget is at most |E| and
+        # the two pools hold all n(n-1)/2 pairs, so no budget can run out.
+        rng = np.random.default_rng(17)
+        cases = 0
+        for n in range(2, 9):
+            iu, ju = np.triu_indices(n, k=1)
+            for m in range(len(iu) + 1):
+                keep = rng.permutation(len(iu))[:m]
+                g = SparseGraph.from_edges(n, list(zip(iu[keep].tolist(), ju[keep].tolist())))
+                for seed in range(2):
+                    _, record = random_attack(g, AttackBudget(rate, seed))
+                    assert record.complete
+                    assert record.num_changes == round(rate * m)
+                    cases += 1
+        assert cases == 182
 
     def test_record_invariants(self, rng):
         g = random_undirected_graph(25, 0.2, rng)
@@ -145,36 +162,3 @@ class TestApplyPerturbation:
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got.adj, name), getattr(want.adj, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-class TestPerturbationDiff:
-    def test_identical(self, rng):
-        g = random_undirected_graph(10, 0.3, rng)
-        record = perturbation_diff(g, g)
-        assert record.num_changes == 0
-
-    def test_single_addition(self):
-        g = SparseGraph.from_edges(6, [(1, 2)])
-        g2 = SparseGraph.from_edges(6, [(1, 2), (0, 5)])
-        record = perturbation_diff(g, g2)
-        assert pairs(record.added) == {(0, 5)} and not pairs(record.removed)
-
-    def test_matches_bruteforce_sets(self, rng):
-        a = random_undirected_graph(50, 0.1, rng)
-        b = random_undirected_graph(50, 0.1, rng)
-        record = perturbation_diff(a, b)
-        ea, eb = set(a.edges()), set(b.edges())
-        assert pairs(record.added) == eb - ea
-        assert pairs(record.removed) == ea - eb
-
-    def test_node_count_mismatch(self, rng):
-        with pytest.raises(ValueError, match="mismatch"):
-            perturbation_diff(
-                random_undirected_graph(5, 0.5, rng), random_undirected_graph(6, 0.5, rng)
-            )
-
-    def test_diff_then_apply_is_identity(self, rng):
-        clean = random_undirected_graph(30, 0.15, rng)
-        poisoned, _ = random_attack(clean, AttackBudget(0.25, 13))
-        record = perturbation_diff(clean, poisoned)
-        assert apply_perturbation(clean, record).edges() == poisoned.edges()

@@ -8,6 +8,12 @@ from robustgsl.data_io import load_features, load_graph_bundle, read_report, sav
 from robustgsl.linalg import make_rng
 
 
+# Flags that take any finite float: NaN and inf must stop at parsing.
+FINITE_FLAGS = [("preprocess", "--t1"), ("refine", "--t2"), ("train", "--alpha"), ("train", "--beta")] + [
+    (command, flag) for command in ("pipeline", "ablate", "sweep") for flag in ("--t1", "--t2", "--alpha", "--beta")
+]
+
+
 @pytest.fixture(scope="module")
 def clean_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("bundles") / "clean"
@@ -343,7 +349,8 @@ class TestErrorExitCodes:
             ("ablate", "--k", "-1"),
             ("sweep", "--k", "-1"),
             ("refine", "--k", "-1"),
-        ],
+        ]
+        + [(command, flag, value) for command, flag in FINITE_FLAGS for value in ("nan", "inf")],
     )
     def test_bad_hyperparameter_rejected(self, poisoned_dir, tmp_path, command, flag, value, capsys):
         argv = [command, "--in", str(poisoned_dir), flag, value]
@@ -354,6 +361,20 @@ class TestErrorExitCodes:
         assert exc.value.code == 2
         assert f"argument {flag}: must be" in capsys.readouterr().err
         assert not (tmp_path / "emb.txt").exists()
+
+    @pytest.mark.parametrize(
+        "param, values", [("k", "1,-1"), ("k", "1,1.5"), ("t2", "0.1,nan"), ("t1", "0.1,inf"), ("alpha", "0.1,x")]
+    )
+    def test_sweep_values_checked_before_any_run(self, poisoned_dir, tmp_path, param, values, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("sweep trained an encoder before checking every value")
+
+        monkeypatch.setattr("robustgsl.pipeline.train_encoder", no_training)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--in", str(poisoned_dir), "--param", param, f"--values={values}", "--out", str(out)]
+        assert main(argv) == 2
+        assert "--values" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("damage", ["missing", "malformed"])
     def test_refine_clean_edges_checked(self, clean_dir, poisoned_dir, tmp_path, damage, capsys):
