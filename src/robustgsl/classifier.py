@@ -3,18 +3,20 @@
 The advanced mode weights each in-message by (d_i d_j)^alpha, row-normalized
 so neighbor weights sum to one, and adds a beta-weighted self term. The
 vanilla mode is the classic renormalized-adjacency GCN, kept as an exact
-separate implementation for baselines and ablation.
+separate implementation for baselines and ablation; it makes a directed graph
+undirected itself, so every caller passes the graph it has.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import SparseGraph, degrees, renormalized_adjacency
+from .graph import SparseGraph, degrees, renormalized_adjacency, symmetrized
 from .linalg import NumericError, adam_init, adam_step, glorot, make_rng, relu, spmm
 
 
@@ -37,22 +39,21 @@ class ClassifierConfig:
 
 def degree_weighted_matrix(g: SparseGraph, alpha: float, beta: float) -> sp.csr_matrix:
     """Aggregation operator: row-normalized (d_i d_j)^alpha weights plus beta I."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be a finite number >= 0, got {beta!r}")
     deg = degrees(g).astype(float)
     adj = g.adj
-    data = np.zeros_like(adj.data)
-    for i in range(g.num_nodes):
-        lo, hi = adj.indptr[i], adj.indptr[i + 1]
-        if lo == hi:
-            continue
-        dd = deg[i] * deg[adj.indices[lo:hi]]
-        if alpha < 0:
-            # zero-degree sources are excluded rather than raised to a negative power
-            w = np.where(dd > 0, dd, 1.0) ** alpha * (dd > 0)
-        else:
-            w = dd ** alpha
-        z = w.sum()
-        if z > 0:
-            data[lo:hi] = w / z
+    rows = np.repeat(np.arange(g.num_nodes), np.diff(adj.indptr))
+    dd = deg[rows] * deg[adj.indices]
+    if alpha < 0:
+        # zero-degree sources are excluded rather than raised to a negative power
+        w = np.where(dd > 0, dd, 1.0) ** alpha * (dd > 0)
+    else:
+        w = dd ** alpha
+    # Row sums, added one entry at a time in CSR order; a row whose weights are
+    # all 0 keeps 0 in data.
+    z = np.bincount(rows, weights=w, minlength=g.num_nodes)[rows]
+    data = np.divide(w, z, out=np.zeros_like(w), where=z > 0)
     weighted = sp.csr_matrix((data, adj.indices.copy(), adj.indptr.copy()), shape=adj.shape)
     out = (weighted + beta * sp.identity(g.num_nodes, format="csr")).tocsr()
     out.sort_indices()
@@ -63,9 +64,8 @@ def propagation_matrix(g: SparseGraph, mode: str, alpha: float = 0.0, beta: floa
     if mode == "advanced":
         return degree_weighted_matrix(g, alpha, beta)
     if mode == "vanilla":
-        if g.directed:
-            raise ValueError("vanilla propagation expects an undirected graph")
-        return renormalized_adjacency(g)
+        # The classic GCN is defined on an undirected graph.
+        return renormalized_adjacency(symmetrized(g))
     raise ValueError(f"unknown classifier mode {mode!r}")
 
 
@@ -129,14 +129,10 @@ def classifier_loss_and_grads(
     return _loss_and_grads(forward, w1, w2, q.T.tocsr(), qh0, labels, node_ids, weight_decay)
 
 
-def logits_of(model: ClassifierModel, g: SparseGraph, h0: np.ndarray) -> np.ndarray:
-    q = propagation_matrix(g, model.mode, model.alpha, model.beta)
-    return _forward(q, spmm(q, h0), model.w1, model.w2)[2]
-
-
 def predict(model: ClassifierModel, g: SparseGraph, h0: np.ndarray) -> np.ndarray:
     """Per-node argmax class; ties go to the smaller class id."""
-    return np.argmax(logits_of(model, g, h0), axis=1)
+    q = propagation_matrix(g, model.mode, model.alpha, model.beta)
+    return np.argmax(_forward(q, spmm(q, h0), model.w1, model.w2)[2], axis=1)
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray, node_ids) -> float:

@@ -40,7 +40,6 @@ from .pipeline import (
     run_experiment,
     run_gcn_baseline,
     sweep,
-    symmetrized,
 )
 from .preprocess import ViewBundle, rough_preprocess
 # Not called here; perfbench/spans.py still lists these names as call sites of this module.
@@ -75,14 +74,39 @@ _positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite numb
 _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _finite = _checked(float, math.isfinite, "a finite number")
 
+# The rule of each PipelineConfig field that a flag sets, keyed by the field's
+# path in a --config file. The flag parses with it, and so does the file's value.
+FIELD_RULES = {
+    "t1": _finite,
+    "t2": _finite,
+    "alpha": _finite,
+    "beta": _non_negative,
+    "k": _non_negative_int,
+    "encoder.lr": _positive,
+    "encoder.epochs": _at_least_one,
+    "encoder.patience": _at_least_one,
+    "classifier.lr": _positive,
+    "classifier.weight_decay": _non_negative,
+    "classifier.epochs": _at_least_one,
+}
+
 
 def _load_config(path: str | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     try:
         with open(path) as fh:
-            return PipelineConfig.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, TypeError) as exc:
+            raw = json.load(fh)
+        # A file's value is parsed as the flag's text would be, so 1.5 is no integer.
+        for key, rule in FIELD_RULES.items():
+            section, _, name = key.rpartition(".")
+            fields = raw.get(section, {}) if section else raw
+            if name in fields:
+                fields[name] = rule(str(fields[name]))
+        return PipelineConfig.from_dict(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"config {path}: {key} {exc}") from exc
+    except (OSError, json.JSONDecodeError, TypeError, AttributeError) as exc:
         raise ConfigError(f"cannot load config {path}: {exc}") from exc
 
 
@@ -235,8 +259,6 @@ def cmd_train(args) -> int:
     n = bundle.graph.num_nodes
     graph = load_edges(args.graph, n, directed=True) if args.graph else bundle.graph
     h0 = load_features(args.embeddings) if args.embeddings else bundle.features
-    if args.mode == "vanilla" and graph.directed:
-        graph = symmetrized(graph)
     config = ClassifierConfig(
         hidden=args.hidden, lr=args.lr, weight_decay=args.weight_decay, epochs=args.epochs
     )
@@ -303,7 +325,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep(args) -> int:
     # Every value passes its flag's check before the first run trains anything.
-    parse = _non_negative_int if args.param == "k" else _finite
+    parse = FIELD_RULES[args.param]
     try:
         values = [parse(v) for v in args.values.split(",")]
     except argparse.ArgumentTypeError as exc:
@@ -340,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     def preprocess_options(p):
         # No defaults here: unset options keep the PipelineConfig value.
         p.add_argument("--metric", choices=("jaccard", "cosine"), default=None)
-        p.add_argument("--t1", type=_finite, default=None)
+        p.add_argument("--t1", type=FIELD_RULES["t1"], default=None)
         p.add_argument("--recover-p", dest="recover_p", type=float, default=None)
         p.add_argument("--views", dest="num_views", type=int, default=None)
         p.add_argument("--aug", choices=("recovery", "random", "none"), default=None)
@@ -373,9 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--pre", required=True, help="preprocess output directory")
     p.add_argument("--hidden", type=int, default=defaults.encoder.hidden)
-    p.add_argument("--lr", type=_positive, default=defaults.encoder.lr)
-    p.add_argument("--epochs", type=_at_least_one, default=defaults.encoder.epochs)
-    p.add_argument("--patience", type=_at_least_one, default=defaults.encoder.patience)
+    p.add_argument("--lr", type=FIELD_RULES["encoder.lr"], default=defaults.encoder.lr)
+    p.add_argument("--epochs", type=FIELD_RULES["encoder.epochs"], default=defaults.encoder.epochs)
+    p.add_argument("--patience", type=FIELD_RULES["encoder.patience"], default=defaults.encoder.patience)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--out", required=True, help="embedding output file; the pre-activation goes beside it"
@@ -391,10 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="embedding file from embed; the pre-activation beside it (<stem>.preact<suffix>) is read",
     )
     p.add_argument(
-        "--t2", type=_finite, default=defaults.t2, help="prune edges whose pre-activation cosine is at most t2"
+        "--t2",
+        type=FIELD_RULES["t2"],
+        default=defaults.t2,
+        help="prune edges whose pre-activation cosine is at most t2",
     )
     p.add_argument(
-        "--k", type=_non_negative_int, default=defaults.k, help="insert each node's k most similar peers"
+        "--k", type=FIELD_RULES["k"], default=defaults.k, help="insert each node's k most similar peers"
     )
     p.add_argument("--clean", default=None, help="clean bundle for the removal audit")
     p.add_argument("--out", required=True, help="output directory")
@@ -404,14 +429,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--graph", default=None, help="directed refined edge list")
     p.add_argument("--embeddings", default=None)
-    p.add_argument("--alpha", type=_finite, default=defaults.alpha)
-    p.add_argument("--beta", type=_finite, default=defaults.beta)
+    p.add_argument("--alpha", type=FIELD_RULES["alpha"], default=defaults.alpha)
+    p.add_argument("--beta", type=FIELD_RULES["beta"], default=defaults.beta)
     p.add_argument("--hidden", type=int, default=defaults.classifier.hidden)
-    p.add_argument("--lr", type=_positive, default=defaults.classifier.lr)
+    p.add_argument("--lr", type=FIELD_RULES["classifier.lr"], default=defaults.classifier.lr)
     p.add_argument(
-        "--weight-decay", dest="weight_decay", type=_non_negative, default=defaults.classifier.weight_decay
+        "--weight-decay",
+        dest="weight_decay",
+        type=FIELD_RULES["classifier.weight_decay"],
+        default=defaults.classifier.weight_decay,
     )
-    p.add_argument("--epochs", type=_at_least_one, default=defaults.classifier.epochs)
+    p.add_argument("--epochs", type=FIELD_RULES["classifier.epochs"], default=defaults.classifier.epochs)
     p.add_argument("--mode", choices=("advanced", "vanilla"), default=defaults.classifier_mode)
     common(p)
     p.set_defaults(func=cmd_train)
@@ -422,10 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--config", default=None)
         q.add_argument("--seeds", type=_at_least_one, default=1)
         preprocess_options(q)
-        q.add_argument("--t2", type=_finite, default=None)
-        q.add_argument("--k", type=_non_negative_int, default=None)
-        q.add_argument("--alpha", type=_finite, default=None)
-        q.add_argument("--beta", type=_finite, default=None)
+        for name in ("t2", "k", "alpha", "beta"):
+            q.add_argument(f"--{name}", type=FIELD_RULES[name], default=None)
         q.add_argument("--mode", choices=("advanced", "vanilla"), default=None)
         common(q)
         return q

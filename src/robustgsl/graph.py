@@ -98,6 +98,14 @@ def edge_difference(a: SparseGraph, b: SparseGraph) -> np.ndarray:
     return ea[np.isin(edge_keys(ea, n), edge_keys(b.edge_array(), n), invert=True)]
 
 
+def symmetrized(g: SparseGraph) -> SparseGraph:
+    """Undirected graph over all ordered edges of g (OR with its transpose);
+    an undirected g is returned as it is."""
+    if not g.directed:
+        return g
+    return SparseGraph.from_edges(g.num_nodes, g.edge_array(), directed=False)
+
+
 def degrees(g: SparseGraph) -> np.ndarray:
     """Neighbor counts excluding self; out-neighbors per row for directed graphs."""
     return np.diff(g.adj.indptr).astype(np.int64)

@@ -78,11 +78,6 @@ class PipelineRun:
         return np.unique(np.concatenate((self.removed_preprocess, self.removed_refine)), axis=0)
 
 
-def symmetrized(g: SparseGraph) -> SparseGraph:
-    """Undirected graph over all ordered edges of g (OR with its transpose)."""
-    return SparseGraph.from_edges(g.num_nodes, g.edge_array(), directed=False)
-
-
 def build_views(base: SparseGraph, removed: np.ndarray, config: PipelineConfig, seed: int) -> ViewBundle:
     """The encoder's augmentation views of the pre-processed graph."""
     aug = config.augmentation
@@ -122,9 +117,8 @@ def run_variant(
     removed_refine = edge_difference(base, retained)
     refined = topk_insert(retained, z, config.k)
 
-    clf_graph = symmetrized(refined) if config.classifier_mode == "vanilla" else refined
     _, test_acc = train_classifier(
-        clf_graph,
+        refined,
         embeddings,
         bundle.labels,
         bundle.split,

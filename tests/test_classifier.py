@@ -44,6 +44,14 @@ def reference_train(g, h0, labels, split, config, mode, alpha, beta, seed):
     return model, accuracy(predict(model, g, h0), labels, split.test)
 
 
+def random_directed_graph(n: int, density: float, rng: np.random.Generator) -> SparseGraph:
+    """Random ordered pairs, except that about a quarter of the nodes keep no
+    out-edges, as in a refined graph that `train --graph` loads."""
+    src, dst = np.nonzero(rng.random((n, n)) < density)
+    keep = rng.random(n) >= 0.25
+    return SparseGraph.from_edges(n, np.column_stack((src, dst))[keep[src]], directed=True)
+
+
 def dense_degree_oracle(g, alpha, beta):
     """Independent dense computation of the degree-reweighted operator."""
     n = g.num_nodes
@@ -93,9 +101,18 @@ class TestDegreeWeightedMatrix:
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.6, 1.0])
     def test_matches_dense_oracle(self, alpha, rng):
         for _ in range(5):
-            g = random_undirected_graph(20, 0.2, rng)
-            q = degree_weighted_matrix(g, alpha=alpha, beta=1.5).toarray()
-            np.testing.assert_allclose(q, dense_degree_oracle(g, alpha, 1.5), atol=1e-12)
+            directed = random_directed_graph(20, 0.2, rng)
+            # Some edge ends at a node without out-edges, whose degree is 0.
+            assert (degrees(directed)[directed.adj.indices] == 0).any()
+            for g in (random_undirected_graph(20, 0.2, rng), directed):
+                q = degree_weighted_matrix(g, alpha=alpha, beta=1.5).toarray()
+                np.testing.assert_allclose(q, dense_degree_oracle(g, alpha, 1.5), atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [-1.0, -1e-12, np.nan, np.inf])
+    def test_bad_beta_rejected(self, beta):
+        g = SparseGraph.from_edges(3, [(0, 1)])
+        with pytest.raises(ValueError, match="beta"):
+            degree_weighted_matrix(g, alpha=0.6, beta=beta)
 
     def test_isolated_node_keeps_beta_only(self):
         g = SparseGraph.from_edges(3, [(0, 1)])
@@ -111,10 +128,12 @@ class TestPropagation:
             renormalized_adjacency(g).toarray(),
         )
 
-    def test_vanilla_rejects_directed(self):
-        g = SparseGraph.from_edges(3, [(0, 1)], directed=True)
-        with pytest.raises(ValueError):
-            propagation_matrix(g, "vanilla")
+    def test_vanilla_symmetrizes_directed(self, rng):
+        g = random_directed_graph(15, 0.2, rng)
+        undirected = SparseGraph.from_edges(15, np.argwhere((g.adj + g.adj.T).toarray()))
+        q, ref = propagation_matrix(g, "vanilla"), propagation_matrix(undirected, "vanilla")
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(q, part), getattr(ref, part))
 
     def test_unknown_mode(self, rng):
         with pytest.raises(ValueError, match="unknown"):
@@ -232,6 +251,20 @@ class TestTrainClassifier:
         np.testing.assert_array_equal(model.w1, ref_model.w1)
         np.testing.assert_array_equal(model.w2, ref_model.w2)
         assert acc == ref_acc
+
+    def test_vanilla_on_directed_equals_undirected(self, sbm):
+        # Each edge stored once, with u < v: its symmetrization is sbm.graph.
+        directed = SparseGraph.from_edges(sbm.graph.num_nodes, sbm.graph.edge_array(), directed=True)
+        config = ClassifierConfig(epochs=30)
+        runs = [
+            train_classifier(g, sbm.features, sbm.labels, sbm.split, config, "vanilla", 0.0, 0.0, 5)
+            for g in (directed, sbm.graph)
+        ]
+        np.testing.assert_array_equal(runs[0][0].w1, runs[1][0].w1)
+        assert runs[0][1] == runs[1][1]
+        np.testing.assert_array_equal(
+            predict(runs[0][0], directed, sbm.features), predict(runs[1][0], sbm.graph, sbm.features)
+        )
 
     def test_empty_train_rejected(self, sbm):
         split = DataSplit(train=[], val=[0], test=[1])

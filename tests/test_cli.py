@@ -349,6 +349,10 @@ class TestErrorExitCodes:
             ("ablate", "--k", "-1"),
             ("sweep", "--k", "-1"),
             ("refine", "--k", "-1"),
+            ("train", "--beta", "-1"),
+            ("pipeline", "--beta", "-1"),
+            ("ablate", "--beta", "-1"),
+            ("sweep", "--beta", "-0.5"),
         ]
         + [(command, flag, value) for command, flag in FINITE_FLAGS for value in ("nan", "inf")],
     )
@@ -375,6 +379,48 @@ class TestErrorExitCodes:
         assert main(argv) == 2
         assert "--values" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "ablate", "sweep"])
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ('{"t1": Infinity}', "t1"),
+            ('{"t2": NaN}', "t2"),
+            ('{"alpha": "x"}', "alpha"),
+            ('{"beta": -1.0}', "beta"),
+            ('{"k": -1}', "k"),
+            ('{"k": 1.5}', "k"),
+            ('{"encoder": {"epochs": 0}}', "encoder.epochs"),
+            ('{"encoder": {"lr": -0.1}}', "encoder.lr"),
+            ('{"classifier": {"epochs": 0}}', "classifier.epochs"),
+            ('{"classifier": {"lr": 0}}', "classifier.lr"),
+            ('{"classifier": {"weight_decay": -1}}', "classifier.weight_decay"),
+        ],
+    )
+    def test_config_values_checked_before_any_run(
+        self, poisoned_dir, tmp_path, command, config, key, monkeypatch, capsys
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError(f"{command} trained an encoder before checking the config")
+
+        monkeypatch.setattr("robustgsl.pipeline.train_encoder", no_training)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(config)
+        out = tmp_path / "run"
+        argv = [command, "--in", str(poisoned_dir), "--config", str(cfg), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--param", "k", "--values", "1"]
+        assert main(argv) == 2
+        assert f"config {cfg}: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_values_cast_like_flags(self, poisoned_dir, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"k": "3", "beta": 0, "encoder": {"epochs": 2}, "classifier": {"epochs": 2}}')
+        out = tmp_path / "run"
+        assert main(["pipeline", "--in", str(poisoned_dir), "--config", str(cfg), "--out", str(out)]) == 0
+        config = read_report(out / "report.json")["config"]
+        assert (config["k"], config["beta"], config["encoder"]["epochs"]) == (3, 0.0, 2)
 
     @pytest.mark.parametrize("damage", ["missing", "malformed"])
     def test_refine_clean_edges_checked(self, clean_dir, poisoned_dir, tmp_path, damage, capsys):

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_undirected_graph
-from robustgsl.graph import SparseGraph, degrees, edge_difference, renormalized_adjacency
+from robustgsl.graph import SparseGraph, degrees, edge_difference, renormalized_adjacency, symmetrized
 
 
 class TestSparseGraph:
@@ -74,6 +74,17 @@ class TestRenormalizedAdjacency:
                 renormalized_adjacency(g).toarray(), dinv @ dense @ dinv, atol=1e-12
             )
 
+
+class TestSymmetrized:
+    def test_directed_to_undirected(self):
+        g = SparseGraph.from_edges(3, [(0, 1), (2, 1)], directed=True)
+        s = symmetrized(g)
+        assert not s.directed
+        assert s.edges() == [(0, 1), (1, 2)]
+
+    def test_idempotent_on_undirected(self):
+        g = SparseGraph.from_edges(3, [(0, 1)])
+        assert symmetrized(g).edges() == g.edges()
 
 
 def reference_from_edges(num_nodes, edges, directed=False):

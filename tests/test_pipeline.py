@@ -6,7 +6,6 @@ from robustgsl.attack import AttackBudget, dice_attack, random_attack
 from robustgsl.data_io import GraphBundle, SbmSpec, generate_sbm
 from robustgsl.encoder import EncoderConfig
 from robustgsl.classifier import ClassifierConfig
-from robustgsl.graph import SparseGraph
 from robustgsl.preprocess import rough_preprocess
 from robustgsl.refine import embedding_similarity
 from robustgsl.pipeline import (
@@ -17,7 +16,6 @@ from robustgsl.pipeline import (
     run_pipeline,
     run_variant,
     sweep,
-    symmetrized,
 )
 
 
@@ -33,18 +31,6 @@ def fast_config(**kwargs):
 @pytest.fixture(scope="module")
 def sbm():
     return generate_sbm(SbmSpec(60, 3, 0.3, 0.02, 20, 6, 0.02, seed=2))
-
-
-class TestSymmetrized:
-    def test_directed_to_undirected(self):
-        g = SparseGraph.from_edges(3, [(0, 1), (2, 1)], directed=True)
-        s = symmetrized(g)
-        assert not s.directed
-        assert s.edges() == [(0, 1), (1, 2)]
-
-    def test_idempotent_on_undirected(self):
-        g = SparseGraph.from_edges(3, [(0, 1)])
-        assert symmetrized(g).edges() == g.edges()
 
 
 class TestRunVariant:
