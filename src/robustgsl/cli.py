@@ -41,7 +41,7 @@ from .pipeline import (
     run_gcn_baseline,
     sweep,
 )
-from .preprocess import ViewBundle, rough_preprocess
+from .preprocess import METRICS, ViewBundle, rough_preprocess
 # Not called here; perfbench/spans.py still lists these names as call sites of this module.
 from .preprocess import identical_views, make_views, random_perturb_views  # noqa: F401
 from .refine import prune_edges, removal_report, topk_insert
@@ -73,18 +73,35 @@ _non_negative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _finite = _checked(float, math.isfinite, "a finite number")
+_probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 
-# The rule of each PipelineConfig field that a flag sets, keyed by the field's
-# path in a --config file. The flag parses with it, and so does the file's value.
+
+def _one_of(choices):
+    return _checked(str, lambda v: v in choices, f"one of {', '.join(choices)}")
+
+
+AUGMENTATIONS = ("recovery", "random", "none")
+CLASSIFIER_MODES = ("advanced", "vanilla")
+
+# The rule of each PipelineConfig field, keyed by the field's path in a
+# --config file. Every file value is parsed with it before any run. The
+# numeric flags parse with it too; the named-value flags take the same choices.
 FIELD_RULES = {
+    "metric": _one_of(METRICS),
     "t1": _finite,
+    "recover_p": _probability,
+    "num_views": _at_least_one,
+    "augmentation": _one_of(AUGMENTATIONS),
     "t2": _finite,
     "alpha": _finite,
     "beta": _non_negative,
     "k": _non_negative_int,
+    "classifier_mode": _one_of(CLASSIFIER_MODES),
+    "encoder.hidden": _at_least_one,
     "encoder.lr": _positive,
     "encoder.epochs": _at_least_one,
     "encoder.patience": _at_least_one,
+    "classifier.hidden": _at_least_one,
     "classifier.lr": _positive,
     "classifier.weight_decay": _non_negative,
     "classifier.epochs": _at_least_one,
@@ -361,11 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def preprocess_options(p):
         # No defaults here: unset options keep the PipelineConfig value.
-        p.add_argument("--metric", choices=("jaccard", "cosine"), default=None)
+        p.add_argument("--metric", choices=METRICS, default=None)
         p.add_argument("--t1", type=FIELD_RULES["t1"], default=None)
         p.add_argument("--recover-p", dest="recover_p", type=float, default=None)
-        p.add_argument("--views", dest="num_views", type=int, default=None)
-        p.add_argument("--aug", choices=("recovery", "random", "none"), default=None)
+        p.add_argument("--views", dest="num_views", type=FIELD_RULES["num_views"], default=None)
+        p.add_argument("--aug", choices=AUGMENTATIONS, default=None)
 
     p = sub.add_parser("synth", help="generate a synthetic SBM bundle")
     p.add_argument("--nodes", type=int, default=300)
@@ -394,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="train the contrastive encoder")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--pre", required=True, help="preprocess output directory")
-    p.add_argument("--hidden", type=int, default=defaults.encoder.hidden)
+    p.add_argument("--hidden", type=FIELD_RULES["encoder.hidden"], default=defaults.encoder.hidden)
     p.add_argument("--lr", type=FIELD_RULES["encoder.lr"], default=defaults.encoder.lr)
     p.add_argument("--epochs", type=FIELD_RULES["encoder.epochs"], default=defaults.encoder.epochs)
     p.add_argument("--patience", type=FIELD_RULES["encoder.patience"], default=defaults.encoder.patience)
@@ -431,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", default=None)
     p.add_argument("--alpha", type=FIELD_RULES["alpha"], default=defaults.alpha)
     p.add_argument("--beta", type=FIELD_RULES["beta"], default=defaults.beta)
-    p.add_argument("--hidden", type=int, default=defaults.classifier.hidden)
+    p.add_argument("--hidden", type=FIELD_RULES["classifier.hidden"], default=defaults.classifier.hidden)
     p.add_argument("--lr", type=FIELD_RULES["classifier.lr"], default=defaults.classifier.lr)
     p.add_argument(
         "--weight-decay",
@@ -440,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=defaults.classifier.weight_decay,
     )
     p.add_argument("--epochs", type=FIELD_RULES["classifier.epochs"], default=defaults.classifier.epochs)
-    p.add_argument("--mode", choices=("advanced", "vanilla"), default=defaults.classifier_mode)
+    p.add_argument("--mode", choices=CLASSIFIER_MODES, default=defaults.classifier_mode)
     common(p)
     p.set_defaults(func=cmd_train)
 
@@ -452,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         preprocess_options(q)
         for name in ("t2", "k", "alpha", "beta"):
             q.add_argument(f"--{name}", type=FIELD_RULES[name], default=None)
-        q.add_argument("--mode", choices=("advanced", "vanilla"), default=None)
+        q.add_argument("--mode", choices=CLASSIFIER_MODES, default=None)
         common(q)
         return q
 

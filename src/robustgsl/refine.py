@@ -22,15 +22,21 @@ def embedding_similarity(h: np.ndarray, i: int, j: int) -> float:
     return float(np.dot(h[i], h[j]) / (ni * nj))
 
 
-# Rows of the cosine matrix that topk_insert holds at a time: a block is
-# _TOPK_BLOCK x n floats (12 MB at n=3000). A graph of at most this many nodes
-# is one block, the same single product as the full matrix.
+# Rows of the cosine matrix that topk_insert computes per product: one reused
+# _TOPK_BLOCK x n buffer (12 MB at n=3000). A graph of at most this many nodes
+# is one block, the same single product as the full matrix. The row count
+# stays fixed because, for small n, the GEMM's bits depend on it, and
+# similarity_matrix stacks blocks of the same size.
 _TOPK_BLOCK = 512
+# Rows of a block ranked at a time, so the partition copy and the boolean
+# masks of _topk_columns are _RANK_ROWS x n, not _TOPK_BLOCK x n.
+_RANK_ROWS = 64
 
 
-def _similarity_block(hn: np.ndarray, lo: int) -> np.ndarray:
-    """The block of cosine rows from lo, given the row-normalized embeddings."""
-    return hn[lo : lo + _TOPK_BLOCK] @ hn.T
+def _similarity_block(hn: np.ndarray, lo: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The block of cosine rows from lo, given the row-normalized embeddings;
+    written into out when given."""
+    return np.matmul(hn[lo : lo + _TOPK_BLOCK], hn.T, out=out)
 
 
 def similarity_matrix(h: np.ndarray) -> np.ndarray:
@@ -73,9 +79,10 @@ def _topk_columns(sim: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
 def topk_insert(retained: SparseGraph, h: np.ndarray, k: int) -> SparseGraph:
     """Directed union of the retained edges with each node's k most similar peers.
 
-    Ties break toward the smaller candidate id. The cosines are ranked in
-    blocks of rows, so no n x n matrix is held. The result is directed: row i
-    lists the aggregation sources of node i.
+    Ties break toward the smaller candidate id. The cosines are computed in
+    blocks of rows into one reused buffer and ranked a few rows at a time, so
+    no n x n matrix is held. The result is directed: row i lists the
+    aggregation sources of node i.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -86,12 +93,14 @@ def topk_insert(retained: SparseGraph, h: np.ndarray, k: int) -> SparseGraph:
     if k > 0 and n > 1:
         hn = _normalized_rows(h)
         kk = min(k, n - 1)
+        buf = np.empty((min(n, _TOPK_BLOCK), n))
         for lo in range(0, n, _TOPK_BLOCK):
-            sim = _similarity_block(hn, lo)
+            sim = _similarity_block(hn, lo, buf[: min(_TOPK_BLOCK, n - lo)])
             rows = np.arange(sim.shape[0])
             sim[rows, lo + rows] = -np.inf
-            src, dst = _topk_columns(sim, kk)
-            edges.append(np.column_stack((src + lo, dst)))
+            for c in range(0, sim.shape[0], _RANK_ROWS):
+                src, dst = _topk_columns(sim[c : c + _RANK_ROWS], kk)
+                edges.append(np.column_stack((src + lo + c, dst)))
     return SparseGraph.from_edges(n, np.concatenate(edges), directed=True)
 
 

@@ -353,6 +353,10 @@ class TestErrorExitCodes:
             ("pipeline", "--beta", "-1"),
             ("ablate", "--beta", "-1"),
             ("sweep", "--beta", "-0.5"),
+            ("preprocess", "--views", "0"),
+            ("pipeline", "--views", "0"),
+            ("embed", "--hidden", "0"),
+            ("train", "--hidden", "0"),
         ]
         + [(command, flag, value) for command, flag in FINITE_FLAGS for value in ("nan", "inf")],
     )
@@ -395,6 +399,14 @@ class TestErrorExitCodes:
             ('{"classifier": {"epochs": 0}}', "classifier.epochs"),
             ('{"classifier": {"lr": 0}}', "classifier.lr"),
             ('{"classifier": {"weight_decay": -1}}', "classifier.weight_decay"),
+            ('{"recover_p": "x"}', "recover_p"),
+            ('{"recover_p": 1.5}', "recover_p"),
+            ('{"num_views": 0}', "num_views"),
+            ('{"metric": "euclid"}', "metric"),
+            ('{"augmentation": "mixup"}', "augmentation"),
+            ('{"classifier_mode": "magic"}', "classifier_mode"),
+            ('{"encoder": {"hidden": 0}}', "encoder.hidden"),
+            ('{"classifier": {"hidden": 0}}', "classifier.hidden"),
         ],
     )
     def test_config_values_checked_before_any_run(

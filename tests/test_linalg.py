@@ -95,6 +95,35 @@ class TestAdam:
             params = adam_step(params, grads, state)
         assert abs(params["w"][0]) < 0.1
 
+    def test_bitwise_equal_to_expression_form(self):
+        # The update written out as whole-array expressions, with fresh moment
+        # arrays each step; the in-place update must keep its bits.
+        def reference_step(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+            out = {}
+            for name, p in params.items():
+                g = grads[name]
+                m[name] = b1 * m[name] + (1 - b1) * g
+                v[name] = b2 * v[name] + (1 - b2) * g * g
+                mhat = m[name] / (1 - b1 ** t)
+                vhat = v[name] / (1 - b2 ** t)
+                out[name] = p - lr * mhat / (np.sqrt(vhat) + eps)
+            return out
+
+        rng = make_rng(5)
+        params = {"w": rng.normal(size=(7, 4)), "b": rng.normal(size=4)}
+        state = adam_init(params, lr=0.01)
+        want = dict(params)
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        for t, scale in enumerate(np.logspace(-8, 2, 300), start=1):
+            grads = {k: rng.normal(size=p.shape) * scale for k, p in params.items()}
+            params = adam_step(params, grads, state)
+            want = reference_step(want, grads, m, v, t, lr=0.01)
+            for k in params:
+                assert params[k].tobytes() == want[k].tobytes(), (t, k)
+                assert state.m[k].tobytes() == m[k].tobytes(), (t, k)
+                assert state.v[k].tobytes() == v[k].tobytes(), (t, k)
+
     def test_nonfinite_gradient_aborts(self):
         params = {"w": np.array([1.0])}
         state = adam_init(params, lr=0.1)

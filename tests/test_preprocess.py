@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import pairs, random_undirected_graph, toy_graph
 from robustgsl.graph import SparseGraph
+from robustgsl.linalg import EDGE_BLOCK, edge_cosines, make_rng
 from robustgsl.preprocess import (
+    _edge_jaccard,
     edge_scores,
     feature_similarity,
     identical_views,
@@ -51,13 +55,31 @@ class TestFeatureSimilarity:
 class TestEdgeScores:
     @pytest.mark.parametrize("metric", ["jaccard", "cosine"])
     def test_bitwise_equal_to_feature_similarity(self, metric, rng):
-        # Over 8192 edges, so the scores come from more than one gather block.
+        # Over EDGE_BLOCK edges, so the scores come from more than one gather block.
         g = random_undirected_graph(400, 0.12, rng)
+        assert g.num_edges > EDGE_BLOCK
         x = rng.normal(size=(400, 30)) * (rng.random((400, 30)) < 0.4)
         x[::17] = 0.0
         scores = edge_scores(g, x, metric)
         assert list(scores) == g.edges()
         assert list(scores.values()) == [feature_similarity(x[u], x[v], metric) for u, v in g.edges()]
+
+    @pytest.mark.parametrize("kernel", [edge_cosines, _edge_jaccard])
+    def test_working_set_does_not_grow_with_edges(self, kernel):
+        # The gathered row slices are EDGE_BLOCK x d whatever the edge count;
+        # only the output grows, by 8 bytes an edge.
+        rng = make_rng(2)
+        x = rng.normal(size=(1000, 100)) * (rng.random((1000, 100)) < 0.3)
+        peaks = []
+        for count in (2_000, 40_000):
+            edges = rng.integers(0, 1000, size=(count, 2))
+            tracemalloc.start()
+            try:
+                kernel(x, edges)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2**20
 
 
 class TestRoughPreprocess:

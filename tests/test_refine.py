@@ -1,17 +1,44 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_undirected_graph
 from robustgsl.graph import SparseGraph
-from robustgsl.linalg import EDGE_BLOCK, edge_cosines
+from robustgsl.linalg import EDGE_BLOCK, edge_cosines, make_rng
 from robustgsl.refine import (
     _TOPK_BLOCK,
+    _normalized_rows,
+    _topk_columns,
     embedding_similarity,
     prune_edges,
     removal_report,
     similarity_matrix,
     topk_insert,
 )
+
+
+def _reference_topk_insert(retained, h, k):
+    """topk_insert as it was before its blocks shared one buffer and were
+    ranked in chunks: each 512-row block is a fresh product, ranked whole."""
+    n = retained.num_nodes
+    kept = retained.edge_array()
+    edges = [kept, kept[:, ::-1]]
+    if k > 0 and n > 1:
+        hn = _normalized_rows(h)
+        kk = min(k, n - 1)
+        for lo in range(0, n, _TOPK_BLOCK):
+            sim = hn[lo : lo + _TOPK_BLOCK] @ hn.T
+            rows = np.arange(sim.shape[0])
+            sim[rows, lo + rows] = -np.inf
+            src, dst = _topk_columns(sim, kk)
+            edges.append(np.column_stack((src + lo, dst)))
+    return SparseGraph.from_edges(n, np.concatenate(edges), directed=True)
+
+
+def _csr_bytes(g):
+    a = g.adj
+    return a.shape, g.directed, a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes()
 
 
 class TestSimilarity:
@@ -131,6 +158,33 @@ class TestTopkInsert:
                 tied_rows.add(i // _TOPK_BLOCK)
         assert tied_rows == {0, 1, 2}  # the tie rule is exercised in every block
         assert out.edge_set() == expected
+
+    @pytest.mark.parametrize("n", [2, 5, 63, 64, 65, 300, 511, 512, 513, 2 * _TOPK_BLOCK + 77])
+    def test_csr_bitwise_equal_to_reference(self, n):
+        # Rounded 3-dim rows repeat directions, so rows tie at their k-th
+        # place; zero rows tie with everything at similarity 0. The chunks of
+        # 64 ranked rows split the blocks at 63/64/65 and 511/512/513 nodes.
+        rng = make_rng(n)
+        h = np.round(rng.normal(size=(n, 3)), 1)
+        h[::7] = 0.0
+        g = random_undirected_graph(n, min(1.0, 3.0 / n), rng)
+        for k in sorted({0, 1, 5, n - 1}):
+            want = _csr_bytes(_reference_topk_insert(g, h, k))
+            assert _csr_bytes(topk_insert(g, h, k)) == want, f"k={k}"
+
+    def test_working_set_bounded(self):
+        # One 512 x n block buffer plus one 64-row chunk's partition copy and
+        # boolean masks; two 512 x n blocks would exceed this.
+        n, k = 3000, 5
+        h = make_rng(0).normal(size=(n, 64))
+        g = SparseGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        tracemalloc.start()
+        try:
+            topk_insert(g, h, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _TOPK_BLOCK * n + 3 * 8 * 64 * n
 
     @pytest.mark.parametrize("rows", [9, 11])
     def test_embedding_row_count_checked(self, rows, rng):
