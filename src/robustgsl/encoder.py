@@ -175,16 +175,20 @@ def train_encoder(
     """
     rng = make_rng(seed)
     model = init_encoder(features.shape[1], config, rng)
+    params = {"w_enc": model.w_enc, "w_disc": model.w_disc}
+    # The best weights outlive this call, so they are allocated once, before
+    # the N x d products, and overwritten in place. Copies made during
+    # training could land among the products and split the memory those free
+    # into pieces that later large arrays (top-k's cosine block) cannot reuse.
+    best = {k: v.copy() for k, v in params.items()}
 
     a_base = renormalized_adjacency(bundle.base)
     ax_base = spmm(a_base, features)
     ax_views = [spmm(renormalized_adjacency(v), features) for v in bundle.views]
     ax_shuf = spmm(a_base, shuffle_features(features, int(rng.integers(2 ** 63))))
 
-    params = {"w_enc": model.w_enc, "w_disc": model.w_disc}
     state = adam_init(params, config.lr)
     loss_and_grads = _contrastive_epoch(ax_base, ax_shuf, ax_views, config.activation, config.hidden)
-    best = {k: v.copy() for k, v in params.items()}
     best_loss = np.inf
     stale = 0
     for epoch in range(config.epochs):
@@ -193,7 +197,8 @@ def train_encoder(
             raise NumericError(f"contrastive loss diverged at epoch {epoch}")
         if loss < best_loss - 1e-9:
             best_loss = loss
-            best = {k: v.copy() for k, v in params.items()}
+            for k, v in params.items():
+                np.copyto(best[k], v)
             stale = 0
         else:
             stale += 1
