@@ -17,7 +17,7 @@ from .data_io import (
     save_graph_bundle,
     write_report,
 )
-from .encoder import EncoderConfig, EncoderModel, contrastive_loss, readout, train_encoder
+from .encoder import EncoderConfig, EncoderModel, contrastive_loss, train_encoder
 from .graph import SparseGraph, degrees, renormalized_adjacency
 from .pipeline import (
     PipelineConfig,

@@ -128,6 +128,13 @@ def _load_config(path: str | None) -> PipelineConfig:
 
 
 def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
+    # --recover-p parses as a plain float, so its range is checked here, before
+    # any run; --aug none would otherwise never check it.
+    if getattr(args, "recover_p", None) is not None:
+        try:
+            FIELD_RULES["recover_p"](str(args.recover_p))
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"--recover-p: recover_p {exc}") from exc
     for name in ("metric", "t1", "recover_p", "t2", "alpha", "beta", "k", "num_views"):
         value = getattr(args, name, None)
         if value is not None:

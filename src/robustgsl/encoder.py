@@ -52,11 +52,6 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def readout(h_view: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid of the column-wise mean; permutation invariant."""
-    return sigmoid(h_view.mean(axis=0))
-
-
 def shuffle_features(features: np.ndarray, seed: int) -> np.ndarray:
     """Row permutation of the feature matrix (negative-sample construction)."""
     n = features.shape[0]
@@ -64,6 +59,13 @@ def shuffle_features(features: np.ndarray, seed: int) -> np.ndarray:
         raise ValueError("need at least two nodes to shuffle features")
     perm = make_rng(seed).permutation(n)
     return features[perm]
+
+
+def _view_delta(ax_base: np.ndarray, ax_view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the rows where a view's A_hat X differs from the base's,
+    and those rows of the view."""
+    rows = np.flatnonzero((ax_view != ax_base).any(axis=1))
+    return rows, ax_view[rows]
 
 
 def _contrastive_epoch(
@@ -76,11 +78,17 @@ def _contrastive_epoch(
     """Contrastive BCE loss and its gradients as a function of (w_enc, w_disc),
     for fixed precomputed A_hat X products.
 
-    The N x hidden working arrays and the boolean ReLU masks are allocated
-    here, once per run, and every call overwrites them; the loss and the
-    gradients it returns are fresh. Each call takes the same floating-point
-    operations in the same order as the plain expression, so its results do
-    not depend on the buffers.
+    A view differs from the base graph in a few edges (a recovery view adds
+    back some of the removed ones), so its A_hat X differs from ``ax_base``
+    only in the rows those edges renormalize. Each view is
+    kept as those changed rows; its other rows are bit-equal to the base rows,
+    so their activations and ReLU masks are the base's. An epoch then takes
+    four N x d x h products (forward and backward through the base and the
+    shuffled features) and one small product per view over its changed rows.
+
+    The working arrays and the boolean ReLU masks are allocated here, once per
+    run, and every call overwrites them; the loss and the gradients it returns
+    are fresh.
     """
     if activation not in ("relu", "linear"):
         raise ValueError(f"unknown activation {activation!r}")
@@ -89,10 +97,19 @@ def _contrastive_epoch(
     n = ax_base.shape[0]
     m = len(ax_views)
     scale = 1.0 / (2.0 * n * m)
+    # unchanged[j, i] is 1 when row i of view j equals the base row.
+    unchanged = np.ones((m, n))
+    ax_changed = []
+    for j, ax in enumerate(ax_views):
+        rows, ax_rows = _view_delta(ax_base, ax)
+        unchanged[j, rows] = 0.0
+        ax_changed.append(ax_rows)
     h_pos, h_neg, work, grad = (np.empty((n, hidden)) for _ in range(4))
+    h_changed = [np.empty((len(ax), hidden)) for ax in ax_changed]
     # The linear activation has no mask: its gradient factor is exactly 1.
     masks = [
-        np.empty((n, hidden), dtype=bool) if activation == "relu" else None for _ in range(2 + m)
+        np.empty(h.shape, dtype=bool) if activation == "relu" else None
+        for h in (h_pos, h_neg, *h_changed)
     ]
 
     def forward(ax, w_enc, out, mask):
@@ -111,13 +128,14 @@ def _contrastive_epoch(
     def loss_and_grads(w_enc: np.ndarray, w_disc: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
         forward(ax_base, w_enc, h_pos, masks[0])
         forward(ax_shuf, w_enc, h_neg, masks[1])
-        # One buffer serves every view: only its readout and its mask are kept.
-        summaries = np.stack(
-            [readout(forward(ax, w_enc, work, masks[2 + j])) for j, ax in enumerate(ax_views)]
-        )  # M x h
+        sums = unchanged @ h_pos  # M x h column sums of each view's activations
+        for j in range(m):
+            sums[j] += forward(ax_changed[j], w_enc, h_changed[j], masks[2 + j]).sum(axis=0)
+        summaries = sigmoid(sums / n)  # the readout: sigmoid of each view's mean
 
-        logits_pos = np.matmul(h_pos, w_disc, out=work) @ summaries.T  # N x M
-        logits_neg = np.matmul(h_neg, w_disc, out=work) @ summaries.T
+        ws = w_disc @ summaries.T  # h x M
+        logits_pos = h_pos @ ws  # N x M
+        logits_neg = h_neg @ ws
         p = sigmoid(logits_pos)
         q = sigmoid(logits_neg)
         pc = np.clip(p, PROB_CLIP, 1 - PROB_CLIP)
@@ -131,13 +149,17 @@ def _contrastive_epoch(
         d_wd = h_pos.T @ g_pos @ summaries + h_neg.T @ g_neg @ summaries
         sw = summaries @ w_disc.T  # row j is w_disc @ s_j
         d_summ = g_pos.T @ h_pos @ w_disc + g_neg.T @ h_neg @ w_disc  # M x h
+        # Every row of view j's activation gradient is d_view[j].
+        d_view = d_summ * summaries * (1 - summaries) / n
 
-        d_we = backward(ax_base, np.matmul(g_pos, sw, out=grad), masks[0])
+        # The views' unchanged rows share the base rows' A_hat X and mask.
+        np.matmul(g_pos, sw, out=grad)
+        np.add(grad, np.matmul(unchanged.T, d_view, out=work), out=grad)
+        d_we = backward(ax_base, grad, masks[0])
         d_we += backward(ax_shuf, np.matmul(g_neg, sw, out=grad), masks[1])
-        d_means = d_summ * summaries * (1 - summaries)
         for j in range(m):
-            grad[...] = d_means[j] / n  # every row of the view's gradient
-            d_we += backward(ax_views[j], grad, masks[2 + j])
+            h_changed[j][...] = d_view[j]
+            d_we += backward(ax_changed[j], h_changed[j], masks[2 + j])
 
         return float(loss), {"w_enc": d_we, "w_disc": d_wd}
 
@@ -189,6 +211,7 @@ def train_encoder(
 
     state = adam_init(params, config.lr)
     loss_and_grads = _contrastive_epoch(ax_base, ax_shuf, ax_views, config.activation, config.hidden)
+    del ax_views  # the epoch keeps only each view's changed rows
     best_loss = np.inf
     stale = 0
     for epoch in range(config.epochs):

@@ -426,6 +426,18 @@ class TestErrorExitCodes:
         assert f"config {cfg}: {key} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["preprocess", "pipeline", "ablate", "sweep"])
+    @pytest.mark.parametrize("value", ["2.0", "-0.1", "nan"])
+    def test_recover_p_checked_without_views(self, poisoned_dir, tmp_path, command, value, capsys):
+        # --aug none builds no recovery views, so nothing downstream checks the flag.
+        out = tmp_path / "run"
+        argv = [command, "--in", str(poisoned_dir), "--aug", "none", "--recover-p", value, "--out", str(out)]
+        if command == "sweep":
+            argv += ["--param", "k", "--values", "1"]
+        assert main(argv) == 2
+        assert "recover_p must be a number in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_values_cast_like_flags(self, poisoned_dir, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text('{"k": "3", "beta": 0, "encoder": {"epochs": 2}, "classifier": {"epochs": 2}}')
