@@ -274,6 +274,20 @@ class TestViewDelta:
             else:
                 assert 0 < len(rows) < 0.1 * n
 
+    def test_row_that_differs_in_some_columns_is_changed(self):
+        # Sparse binary features, as in the SBM bundles: a renormalized row
+        # keeps the columns that none of its changed neighbours has.
+        bundle, x = _view_instance("recovery", 3)
+        x = (make_rng(1).random(x.shape) < 0.2).astype(float)
+        ax_base, _, ax_views = _products(bundle, x)
+        partial = 0
+        for ax in ax_views:
+            rows, _ = _view_delta(ax_base, ax)
+            differ = ax != ax_base
+            assert rows.tolist() == np.flatnonzero(differ.any(axis=1)).tolist()
+            partial += np.count_nonzero(~differ[rows].all(axis=1))
+        assert partial > 0
+
 
 class TestContrastiveEpoch:
     @pytest.mark.parametrize("kind", VIEW_KINDS)
