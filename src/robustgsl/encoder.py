@@ -80,10 +80,10 @@ def _contrastive_epoch(
 
     A view differs from the base graph in a few edges (a recovery view adds
     back some of the removed ones), so its A_hat X differs from ``ax_base``
-    only in the rows those edges renormalize. Each view is
-    kept as those changed rows; its other rows are bit-equal to the base rows,
-    so their activations and ReLU masks are the base's. An epoch then takes
-    four N x d x h products (forward and backward through the base and the
+    only in the rows those edges renormalize. Each view is kept as those
+    changed rows; its other rows are bit-equal to the base rows, so their
+    activations and ReLU masks are the base's. An epoch then takes four
+    N x d x h products (forward and backward through the base and the
     shuffled features) and one small product per view over its changed rows.
 
     The working arrays and the boolean ReLU masks are allocated here, once per
