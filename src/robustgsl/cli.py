@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .attack import AttackBudget, dice_attack, random_attack
-from .classifier import ClassifierConfig, accuracy, predict, train_classifier
+from .classifier import accuracy, predict, train_classifier
 from .data_io import (
     BundleFormatError,
     GraphBundle,
@@ -29,7 +29,7 @@ from .data_io import (
     save_graph_bundle,
     write_report,
 )
-from .encoder import EncoderConfig, train_encoder
+from .encoder import ACTIVATIONS, train_encoder
 from .graph import SparseGraph, edge_difference
 from .linalg import NumericError
 from .pipeline import (
@@ -77,15 +77,17 @@ _probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 
 
 def _one_of(choices):
-    return _checked(str, lambda v: v in choices, f"one of {', '.join(choices)}")
+    parse = _checked(str, lambda v: v in choices, f"one of {', '.join(choices)}")
+    parse.metavar = "{" + ",".join(choices) + "}"  # as argparse shows choices
+    return parse
 
 
 AUGMENTATIONS = ("recovery", "random", "none")
 CLASSIFIER_MODES = ("advanced", "vanilla")
 
 # The rule of each PipelineConfig field, keyed by the field's path in a
-# --config file. Every file value is parsed with it before any run. The
-# numeric flags parse with it too; the named-value flags take the same choices.
+# --config file. Every file value and every flag that sets the field is parsed
+# with it before any run.
 FIELD_RULES = {
     "metric": _one_of(METRICS),
     "t1": _finite,
@@ -101,6 +103,7 @@ FIELD_RULES = {
     "encoder.lr": _positive,
     "encoder.epochs": _at_least_one,
     "encoder.patience": _at_least_one,
+    "encoder.activation": _one_of(ACTIVATIONS),
     "classifier.hidden": _at_least_one,
     "classifier.lr": _positive,
     "classifier.weight_decay": _non_negative,
@@ -128,27 +131,17 @@ def _load_config(path: str | None) -> PipelineConfig:
 
 
 def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
-    # --recover-p parses as a plain float, so its range is checked here, before
-    # any run; --aug none would otherwise never check it.
-    if getattr(args, "recover_p", None) is not None:
-        try:
-            FIELD_RULES["recover_p"](str(args.recover_p))
-        except argparse.ArgumentTypeError as exc:
-            raise ConfigError(f"--recover-p: recover_p {exc}") from exc
-    for name in ("metric", "t1", "recover_p", "t2", "alpha", "beta", "k", "num_views"):
-        value = getattr(args, name, None)
+    """Set each field whose flag was given; an unset flag keeps config's value."""
+    for key in FIELD_RULES:
+        value = getattr(args, key, None)
         if value is not None:
-            setattr(config, name, value)
-    if getattr(args, "aug", None) is not None:
-        config.augmentation = args.aug
-    if getattr(args, "mode", None) is not None:
-        config.classifier_mode = args.mode
+            section, _, name = key.rpartition(".")
+            setattr(getattr(config, section) if section else config, name, value)
     return config
 
 
 def _seed_list(args) -> list[int]:
-    base = args.seed if args.seed is not None else 0
-    return [base + i for i in range(args.seeds)]
+    return [args.seed + i for i in range(args.seeds)]
 
 
 def cmd_synth(args) -> int:
@@ -160,7 +153,7 @@ def cmd_synth(args) -> int:
         feature_dim=args.dim,
         on_bits=args.on_bits,
         flip_noise=args.noise,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     bundle = generate_sbm(spec)
     save_graph_bundle(bundle, args.out)
@@ -170,7 +163,7 @@ def cmd_synth(args) -> int:
 
 def cmd_attack(args) -> int:
     bundle = load_graph_bundle(args.in_dir)
-    budget = AttackBudget(rate=args.ptb_rate, seed=args.seed if args.seed is not None else 0)
+    budget = AttackBudget(rate=args.ptb_rate, seed=args.seed)
     if args.method == "random":
         poisoned, record = random_attack(bundle.graph, budget)
     else:
@@ -190,9 +183,8 @@ def cmd_attack(args) -> int:
 def cmd_preprocess(args) -> int:
     bundle = load_graph_bundle(args.in_dir)
     config = _apply_overrides(PipelineConfig(), args)
-    seed = args.seed if args.seed is not None else 0
     base, removed = rough_preprocess(bundle.graph, bundle.features, config.metric, config.t1)
-    views = build_views(base, removed, config, seed)
+    views = build_views(base, removed, config, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_edges(base, out / "preprocessed_edges.tsv")
@@ -206,7 +198,7 @@ def cmd_preprocess(args) -> int:
             "aug": config.augmentation,
             "recover_p": config.recover_p,
             "num_views": config.num_views,
-            "seed": seed,
+            "seed": args.seed,
             "edges_removed": len(removed),
         },
         out / "preprocess.json",
@@ -235,8 +227,8 @@ def _preactivation_path(embeddings_path) -> Path:
 def cmd_embed(args) -> int:
     bundle = load_graph_bundle(args.in_dir)
     views = _load_view_bundle(Path(args.pre), bundle.graph.num_nodes)
-    config = EncoderConfig(hidden=args.hidden, lr=args.lr, epochs=args.epochs, patience=args.patience)
-    _, embeddings, z = train_encoder(views, bundle.features, config, args.seed if args.seed is not None else 0)
+    config = _apply_overrides(PipelineConfig(), args)
+    _, embeddings, z = train_encoder(views, bundle.features, config.encoder, args.seed)
     save_features(embeddings, args.out)
     z_path = _preactivation_path(args.out)
     save_features(z, z_path)
@@ -249,6 +241,7 @@ def cmd_refine(args) -> int:
     n = bundle.graph.num_nodes
     pre = Path(args.pre)
     base = load_edges(pre / "preprocessed_edges.tsv", n)
+    config = _apply_overrides(PipelineConfig(), args)
     # Similarity is taken on the pre-activation, as in run_pipeline; there is
     # no fallback to the embeddings, whose cosines never fall to t2. A missing
     # file exits with code 2 and names it.
@@ -261,8 +254,8 @@ def cmd_refine(args) -> int:
         # the edges that preprocess removed. Both are read before any output.
         clean_graph = load_edges(Path(args.clean) / "edges.tsv", n)
         removed_preprocess = load_edges(pre / "removed_edges.tsv", n).edge_array()
-    retained = prune_edges(base, z, args.t2)
-    refined = topk_insert(retained, z, args.k)
+    retained = prune_edges(base, z, config.t2)
+    refined = topk_insert(retained, z, config.k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_edges(refined, out / "refined_edges.tsv")
@@ -283,19 +276,17 @@ def cmd_train(args) -> int:
     n = bundle.graph.num_nodes
     graph = load_edges(args.graph, n, directed=True) if args.graph else bundle.graph
     h0 = load_features(args.embeddings) if args.embeddings else bundle.features
-    config = ClassifierConfig(
-        hidden=args.hidden, lr=args.lr, weight_decay=args.weight_decay, epochs=args.epochs
-    )
+    config = _apply_overrides(PipelineConfig(), args)
     model, test_acc = train_classifier(
         graph,
         h0,
         bundle.labels,
         bundle.split,
-        config,
-        args.mode,
-        args.alpha,
-        args.beta,
-        args.seed if args.seed is not None else 0,
+        config.classifier,
+        config.classifier_mode,
+        config.alpha,
+        config.beta,
+        args.seed,
     )
     print(f"test accuracy {test_acc:.4f}")
     if args.out:
@@ -308,9 +299,9 @@ def cmd_train(args) -> int:
                 "val_accuracy": accuracy(preds, bundle.labels, bundle.split.val)
                 if bundle.split.val
                 else None,
-                "mode": args.mode,
-                "alpha": args.alpha,
-                "beta": args.beta,
+                "mode": config.classifier_mode,
+                "alpha": config.alpha,
+                "beta": config.beta,
             },
             out / "train_metrics.json",
         )
@@ -377,19 +368,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="robustgsl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    defaults = PipelineConfig()
+    def config_flag(p, flag, key, **kwargs):
+        # Unset, the flag keeps the PipelineConfig (or --config) value.
+        rule = FIELD_RULES[key]
+        metavar = getattr(rule, "metavar", flag[2:].replace("-", "_").upper())
+        p.add_argument(flag, dest=key, type=rule, default=None, metavar=metavar, **kwargs)
 
     def common(p, out_required=False):
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=out_required, help="output directory")
 
     def preprocess_options(p):
-        # No defaults here: unset options keep the PipelineConfig value.
-        p.add_argument("--metric", choices=METRICS, default=None)
-        p.add_argument("--t1", type=FIELD_RULES["t1"], default=None)
-        p.add_argument("--recover-p", dest="recover_p", type=float, default=None)
-        p.add_argument("--views", dest="num_views", type=FIELD_RULES["num_views"], default=None)
-        p.add_argument("--aug", choices=AUGMENTATIONS, default=None)
+        config_flag(p, "--metric", "metric")
+        config_flag(p, "--t1", "t1")
+        config_flag(p, "--recover-p", "recover_p")
+        config_flag(p, "--views", "num_views")
+        config_flag(p, "--aug", "augmentation")
 
     p = sub.add_parser("synth", help="generate a synthetic SBM bundle")
     p.add_argument("--nodes", type=int, default=300)
@@ -418,11 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="train the contrastive encoder")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--pre", required=True, help="preprocess output directory")
-    p.add_argument("--hidden", type=FIELD_RULES["encoder.hidden"], default=defaults.encoder.hidden)
-    p.add_argument("--lr", type=FIELD_RULES["encoder.lr"], default=defaults.encoder.lr)
-    p.add_argument("--epochs", type=FIELD_RULES["encoder.epochs"], default=defaults.encoder.epochs)
-    p.add_argument("--patience", type=FIELD_RULES["encoder.patience"], default=defaults.encoder.patience)
-    p.add_argument("--seed", type=int, default=None)
+    for name in ("hidden", "lr", "epochs", "patience"):
+        config_flag(p, f"--{name}", f"encoder.{name}")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--out", required=True, help="embedding output file; the pre-activation goes beside it"
     )
@@ -436,15 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="embedding file from embed; the pre-activation beside it (<stem>.preact<suffix>) is read",
     )
-    p.add_argument(
-        "--t2",
-        type=FIELD_RULES["t2"],
-        default=defaults.t2,
-        help="prune edges whose pre-activation cosine is at most t2",
-    )
-    p.add_argument(
-        "--k", type=FIELD_RULES["k"], default=defaults.k, help="insert each node's k most similar peers"
-    )
+    config_flag(p, "--t2", "t2", help="prune edges whose pre-activation cosine is at most t2")
+    config_flag(p, "--k", "k", help="insert each node's k most similar peers")
     p.add_argument("--clean", default=None, help="clean bundle for the removal audit")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_refine)
@@ -453,18 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--graph", default=None, help="directed refined edge list")
     p.add_argument("--embeddings", default=None)
-    p.add_argument("--alpha", type=FIELD_RULES["alpha"], default=defaults.alpha)
-    p.add_argument("--beta", type=FIELD_RULES["beta"], default=defaults.beta)
-    p.add_argument("--hidden", type=FIELD_RULES["classifier.hidden"], default=defaults.classifier.hidden)
-    p.add_argument("--lr", type=FIELD_RULES["classifier.lr"], default=defaults.classifier.lr)
-    p.add_argument(
-        "--weight-decay",
-        dest="weight_decay",
-        type=FIELD_RULES["classifier.weight_decay"],
-        default=defaults.classifier.weight_decay,
-    )
-    p.add_argument("--epochs", type=FIELD_RULES["classifier.epochs"], default=defaults.classifier.epochs)
-    p.add_argument("--mode", choices=CLASSIFIER_MODES, default=defaults.classifier_mode)
+    config_flag(p, "--alpha", "alpha")
+    config_flag(p, "--beta", "beta")
+    for name in ("hidden", "lr", "weight_decay", "epochs"):
+        config_flag(p, f"--{name.replace('_', '-')}", f"classifier.{name}")
+    config_flag(p, "--mode", "classifier_mode")
     common(p)
     p.set_defaults(func=cmd_train)
 
@@ -475,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--seeds", type=_at_least_one, default=1)
         preprocess_options(q)
         for name in ("t2", "k", "alpha", "beta"):
-            q.add_argument(f"--{name}", type=FIELD_RULES[name], default=None)
-        q.add_argument("--mode", choices=CLASSIFIER_MODES, default=None)
+            config_flag(q, f"--{name}", name)
+        config_flag(q, "--mode", "classifier_mode")
         common(q)
         return q
 

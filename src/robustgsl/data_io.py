@@ -259,6 +259,10 @@ class SbmSpec:
     def validate(self) -> None:
         if not (0.0 <= self.p_out < self.p_in <= 1.0):
             raise ValueError(f"need 0 <= p_out < p_in <= 1, got {self.p_out}, {self.p_in}")
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        if self.on_bits < 0:
+            raise ValueError(f"on_bits must be >= 0, got {self.on_bits}")
         if self.on_bits > self.feature_dim:
             raise ValueError("on_bits cannot exceed feature_dim")
         if self.num_classes < 2 or self.num_nodes < self.num_classes:

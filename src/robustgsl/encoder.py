@@ -18,6 +18,7 @@ from .linalg import NumericError, adam_init, adam_step, glorot, make_rng, relu, 
 from .preprocess import ViewBundle
 
 PROB_CLIP = 1e-7
+ACTIVATIONS = ("relu", "linear")
 
 
 @dataclass
@@ -45,11 +46,9 @@ def init_encoder(dim: int, config: EncoderConfig, rng: np.random.Generator) -> E
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return relu(z)
-    if activation == "linear":
-        return z
-    raise ValueError(f"unknown activation {activation!r}")
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    return relu(z) if activation == "relu" else z
 
 
 def shuffle_features(features: np.ndarray, seed: int) -> np.ndarray:
@@ -90,7 +89,7 @@ def _contrastive_epoch(
     run, and every call overwrites them; the loss and the gradients it returns
     are fresh.
     """
-    if activation not in ("relu", "linear"):
+    if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     if not ax_views:
         raise ValueError("need at least one view")

@@ -1,11 +1,13 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from robustgsl.cli import main
+from robustgsl.cli import FIELD_RULES, main
 from robustgsl.data_io import load_features, load_graph_bundle, read_report, save_features
 from robustgsl.linalg import make_rng
+from robustgsl.pipeline import PipelineConfig
 
 
 # Flags that take any finite float: NaN and inf must stop at parsing.
@@ -253,6 +255,16 @@ class TestPipelineCommands:
         assert record["config"]["k"] == 2
         assert record["config"]["encoder"]["epochs"] == 10
 
+    def test_flag_beats_config_file(self, poisoned_dir, tmp_path):
+        # A given flag overrides the file's value; an unset one keeps it.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"k": 2, "t2": 0.1, "encoder": {"epochs": 2}, "classifier": {"epochs": 2}}))
+        out = tmp_path / "run"
+        argv = ["pipeline", "--in", str(poisoned_dir), "--config", str(cfg), "--k", "3", "--out", str(out)]
+        assert main(argv) == 0
+        config = read_report(out / "report.json")["config"]
+        assert (config["k"], config["t2"]) == (3, 0.1)
+
     def test_ablate_single_variant(self, poisoned_dir, tmp_path, capsys):
         out = tmp_path / "abl"
         assert main(
@@ -287,18 +299,108 @@ class TestPipelineCommands:
         assert json.loads(out)["complete"] is True
 
 
+class _Stop(Exception):
+    """Raised by a stubbed stage function once it has recorded its arguments."""
+
+
+def _recorder(calls, name, passthrough=False):
+    def stub(*args):
+        calls[name] = args
+        if passthrough:
+            return args[0]
+        raise _Stop
+
+    return stub
+
+
+class TestStageConfig:
+    """embed, refine and train pass PipelineConfig's values to their stage
+    functions, with any given flag applied."""
+
+    DEFAULTS = PipelineConfig()
+
+    @pytest.fixture
+    def stage_inputs(self, poisoned_dir, tmp_path):
+        pre = tmp_path / "pre"
+        assert main(["preprocess", "--in", str(poisoned_dir), "--out", str(pre)]) == 0
+        z = make_rng(0).normal(size=(60, 4))
+        save_features(z, tmp_path / "emb.txt")
+        save_features(z, tmp_path / "emb.preact.txt")
+        return ["--in", str(poisoned_dir), "--pre", str(pre)], str(tmp_path / "emb.txt")
+
+    @pytest.mark.parametrize(
+        "flags, changes", [([], {}), (["--lr", "0.05", "--epochs", "3"], {"lr": 0.05, "epochs": 3})]
+    )
+    def test_embed(self, stage_inputs, tmp_path, flags, changes, monkeypatch):
+        calls = {}
+        monkeypatch.setattr("robustgsl.cli.train_encoder", _recorder(calls, "train_encoder"))
+        inputs, _ = stage_inputs
+        with pytest.raises(_Stop):
+            main(["embed", *inputs, "--out", str(tmp_path / "e.txt"), *flags])
+        _, _, config, seed = calls["train_encoder"]
+        assert (config, seed) == (dataclasses.replace(self.DEFAULTS.encoder, **changes), 0)
+
+    @pytest.mark.parametrize("flags, t2, k", [([], DEFAULTS.t2, DEFAULTS.k), (["--t2", "0.5", "--k", "2"], 0.5, 2)])
+    def test_refine(self, stage_inputs, tmp_path, flags, t2, k, monkeypatch):
+        calls = {}
+        monkeypatch.setattr("robustgsl.cli.prune_edges", _recorder(calls, "prune_edges", passthrough=True))
+        monkeypatch.setattr("robustgsl.cli.topk_insert", _recorder(calls, "topk_insert"))
+        inputs, emb = stage_inputs
+        with pytest.raises(_Stop):
+            main(["refine", *inputs, "--embeddings", emb, "--out", str(tmp_path / "r"), *flags])
+        assert (calls["prune_edges"][2], calls["topk_insert"][2]) == (t2, k)
+
+    @pytest.mark.parametrize(
+        "flags, changes, mode",
+        [([], {}, DEFAULTS.classifier_mode), (["--lr", "0.05", "--mode", "vanilla"], {"lr": 0.05}, "vanilla")],
+    )
+    def test_train(self, poisoned_dir, flags, changes, mode, monkeypatch):
+        calls = {}
+        monkeypatch.setattr("robustgsl.cli.train_classifier", _recorder(calls, "train_classifier"))
+        with pytest.raises(_Stop):
+            main(["train", "--in", str(poisoned_dir), *flags])
+        config, got_mode, alpha, beta, seed = calls["train_classifier"][4:]
+        assert config == dataclasses.replace(self.DEFAULTS.classifier, **changes)
+        assert (got_mode, alpha, beta, seed) == (mode, self.DEFAULTS.alpha, self.DEFAULTS.beta, 0)
+
+
+def test_every_config_field_has_a_rule():
+    # A PipelineConfig field without a rule would reach a run unchecked.
+    def leaves(obj, prefix=""):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if dataclasses.is_dataclass(value):
+                yield from leaves(value, f"{f.name}.")
+            else:
+                yield prefix + f.name
+
+    assert set(FIELD_RULES) == set(leaves(PipelineConfig()))
+
+
 class TestErrorExitCodes:
     def test_missing_bundle_is_config_error(self, tmp_path):
         assert main(["pipeline", "--in", str(tmp_path / "nope")]) == 2
+
+    @pytest.mark.parametrize(
+        "flags, field", [(["--on-bits", "-1"], "on_bits"), (["--dim", "0", "--on-bits", "0"], "feature_dim")]
+    )
+    def test_synth_feature_shape_checked(self, tmp_path, flags, field, capsys):
+        out = tmp_path / "sbm"
+        assert main(["synth", "--nodes", "6", *flags, "--out", str(out)]) == 2
+        assert f"{field} must be >= " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_file(self, poisoned_dir, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
         assert main(["pipeline", "--in", str(poisoned_dir), "--config", str(cfg)]) == 2
 
-    def test_invalid_threshold_value(self, poisoned_dir):
-        # recover_p outside [0, 1] is a configuration error
-        assert main(["pipeline", "--in", str(poisoned_dir), "--recover-p", "2.0"]) == 2
+    def test_invalid_threshold_value(self, poisoned_dir, capsys):
+        # recover_p outside [0, 1] stops at parsing, like every other flag
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--in", str(poisoned_dir), "--recover-p", "2.0"])
+        assert exc.value.code == 2
+        assert "argument --recover-p: must be a number in [0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -407,6 +509,7 @@ class TestErrorExitCodes:
             ('{"classifier_mode": "magic"}', "classifier_mode"),
             ('{"encoder": {"hidden": 0}}', "encoder.hidden"),
             ('{"classifier": {"hidden": 0}}', "classifier.hidden"),
+            ('{"encoder": {"activation": "tanh"}}', "encoder.activation"),
         ],
     )
     def test_config_values_checked_before_any_run(
@@ -434,8 +537,10 @@ class TestErrorExitCodes:
         argv = [command, "--in", str(poisoned_dir), "--aug", "none", "--recover-p", value, "--out", str(out)]
         if command == "sweep":
             argv += ["--param", "k", "--values", "1"]
-        assert main(argv) == 2
-        assert "recover_p must be a number in [0, 1]" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --recover-p: must be a number in [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_values_cast_like_flags(self, poisoned_dir, tmp_path):

@@ -197,6 +197,13 @@ class TestSbm:
         with pytest.raises(ValueError):
             generate_sbm(SbmSpec(10, 2, 0.1, 0.5, 4, 2, 0.0, seed=0))
 
+    @pytest.mark.parametrize(
+        "feature_dim, on_bits, message", [(4, -1, "on_bits must be >= 0"), (0, 0, "feature_dim must be >= 1")]
+    )
+    def test_invalid_feature_shape_rejected(self, feature_dim, on_bits, message):
+        with pytest.raises(ValueError, match=message):
+            generate_sbm(SbmSpec(10, 2, 0.5, 0.1, feature_dim, on_bits, 0.0, seed=0))
+
     def test_split_proportions(self):
         bundle = generate_sbm(SbmSpec(300, 3, 0.1, 0.005, 10, 3, 0.0, seed=2))
         assert len(bundle.split.train) == 30
