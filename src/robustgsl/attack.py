@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Edge, SparseGraph, as_edge_array, canonical_edge, edge_keys
+from .graph import SparseGraph, as_edge_array, edge_keys, sample_nonedge
 from .linalg import make_rng
 
 # Probability that a change tries an addition before a deletion.
@@ -61,36 +61,6 @@ def apply_perturbation(g: SparseGraph, record: PerturbationRecord) -> SparseGrap
     return SparseGraph.from_edges(n, np.concatenate((kept, record.added)))
 
 
-def _sample_nonedge(rng: np.random.Generator, n: int, forbidden: set, labels=None) -> Edge | None:
-    """Uniform rejection sampling of an absent unordered pair.
-
-    With labels given, only inter-class pairs qualify. Returns None once the
-    eligible pool is provably empty (checked by enumeration after repeated
-    rejection failures).
-    """
-    for _ in range(50 * n):
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u == v:
-            continue
-        e = canonical_edge(u, v)
-        if e in forbidden:
-            continue
-        if labels is not None and labels[u] == labels[v]:
-            continue
-        return e
-    # Slow path: enumerate to distinguish "unlucky" from "exhausted".
-    pool = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (i, j) not in forbidden and (labels is None or labels[i] != labels[j])
-    ]
-    if not pool:
-        return None
-    return pool[int(rng.integers(len(pool)))]
-
-
 def _draw_changes(
     rng: np.random.Generator, n: int, target: int, deletable: list, present: set, labels=None
 ) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -110,7 +80,7 @@ def _draw_changes(
         add_first = rng.random() < ADD_FRACTION
         for add in (add_first, not add_first):
             if add:
-                e = _sample_nonedge(rng, n, present, labels)
+                e = sample_nonedge(rng, n, present, labels)
                 if e is not None:
                     present.add(e)
                     added.append(e)

@@ -27,6 +27,7 @@ class ClassifierModel:
     mode: str  # "advanced" | "vanilla"
     alpha: float = 0.0
     beta: float = 0.0
+    val_accuracy: float | None = None  # the selected model's; None without a validation split
 
 
 @dataclass
@@ -155,10 +156,12 @@ def train_classifier(
 ) -> tuple[ClassifierModel, float]:
     """Adam training with model selection by best validation accuracy.
 
-    Returns the selected model and its test accuracy.
+    Returns the selected model, with that accuracy, and its test accuracy.
     """
     if not split.train:
         raise ValueError("training split is empty")
+    if config.epochs < 1:
+        raise ValueError(f"classifier epochs must be >= 1, got {config.epochs}")
     if h0.shape[0] != g.num_nodes:
         raise ValueError(f"feature rows {h0.shape[0]} != node count {g.num_nodes}")
     num_classes = int(labels.max()) + 1
@@ -193,8 +196,10 @@ def train_classifier(
                 best = {k: v.copy() for k, v in params.items()}
     if not val_ids.size:
         warnings.warn("empty validation split; using the last-epoch model", stacklevel=2)
-        best = params
-    model = ClassifierModel(w1=best["w1"], w2=best["w2"], mode=mode, alpha=alpha, beta=beta)
+        best, best_val = params, None
+    model = ClassifierModel(
+        w1=best["w1"], w2=best["w2"], mode=mode, alpha=alpha, beta=beta, val_accuracy=best_val
+    )
     if not split.test:
         return model, float("nan")
     test_pred = np.argmax(_forward(q, qh0, model.w1, model.w2)[2], axis=1)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .attack import AttackBudget, dice_attack, random_attack
-from .classifier import accuracy, predict, train_classifier
+from .classifier import train_classifier
 from .data_io import (
     BundleFormatError,
     GraphBundle,
@@ -30,21 +30,24 @@ from .data_io import (
     write_report,
 )
 from .encoder import ACTIVATIONS, train_encoder
-from .graph import SparseGraph, edge_difference
+from .graph import SparseGraph
 from .linalg import NumericError
 from .pipeline import (
     SWEEPABLE,
     VARIANTS,
     PipelineConfig,
-    build_views,
+    preprocess_stage,
+    refine_stage,
     run_experiment,
     run_gcn_baseline,
     sweep,
 )
-from .preprocess import METRICS, ViewBundle, rough_preprocess
+from .preprocess import METRICS, ViewBundle
+from .refine import removal_report
 # Not called here; perfbench/spans.py still lists these names as call sites of this module.
-from .preprocess import identical_views, make_views, random_perturb_views  # noqa: F401
-from .refine import prune_edges, removal_report, topk_insert
+from .classifier import predict  # noqa: F401
+from .preprocess import identical_views, make_views, random_perturb_views, rough_preprocess  # noqa: F401
+from .refine import prune_edges, topk_insert  # noqa: F401
 
 
 class ConfigError(ValueError):
@@ -183,10 +186,8 @@ def cmd_attack(args) -> int:
 def cmd_preprocess(args) -> int:
     bundle = load_graph_bundle(args.in_dir)
     config = _apply_overrides(PipelineConfig(), args)
-    base, removed = rough_preprocess(bundle.graph, bundle.features, config.metric, config.t1)
-    views = build_views(base, removed, config, args.seed)
+    base, removed, views = preprocess_stage(bundle.graph, bundle.features, config, args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_edges(base, out / "preprocessed_edges.tsv")
     save_edges(SparseGraph.from_edges(base.num_nodes, removed), out / "removed_edges.tsv")
     for j, view in enumerate(views.views):
@@ -242,9 +243,8 @@ def cmd_refine(args) -> int:
     pre = Path(args.pre)
     base = load_edges(pre / "preprocessed_edges.tsv", n)
     config = _apply_overrides(PipelineConfig(), args)
-    # Similarity is taken on the pre-activation, as in run_pipeline; there is
-    # no fallback to the embeddings, whose cosines never fall to t2. A missing
-    # file exits with code 2 and names it.
+    # refine_stage measures similarity on the pre-activation, with no fallback
+    # to the embeddings. A missing file exits with code 2 and names it.
     z_path = _preactivation_path(args.embeddings)
     z = load_features(z_path)
     if z.shape[0] != n:
@@ -254,13 +254,11 @@ def cmd_refine(args) -> int:
         # the edges that preprocess removed. Both are read before any output.
         clean_graph = load_edges(Path(args.clean) / "edges.tsv", n)
         removed_preprocess = load_edges(pre / "removed_edges.tsv", n).edge_array()
-    retained = prune_edges(base, z, config.t2)
-    refined = topk_insert(retained, z, config.k)
+    retained, removed_refine, refined = refine_stage(base, z, config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_edges(refined, out / "refined_edges.tsv")
     if args.clean:
-        removed = np.concatenate((removed_preprocess, edge_difference(base, retained)))
+        removed = np.concatenate((removed_preprocess, removed_refine))
         report = removal_report(clean_graph, bundle.graph, removed, bundle.labels)
         write_report(report, out / "removal_report.json")
         print(f"removal accuracy {report['accuracy']:.4f} over {report['total']} removals")
@@ -275,7 +273,11 @@ def cmd_train(args) -> int:
     bundle = load_graph_bundle(args.in_dir)
     n = bundle.graph.num_nodes
     graph = load_edges(args.graph, n, directed=True) if args.graph else bundle.graph
-    h0 = load_features(args.embeddings) if args.embeddings else bundle.features
+    h0 = bundle.features
+    if args.embeddings:
+        h0 = load_features(args.embeddings)
+        if h0.shape[0] != n:
+            raise ConfigError(f"{args.embeddings}: {h0.shape[0]} rows, but the graph has {n} nodes")
     config = _apply_overrides(PipelineConfig(), args)
     model, test_acc = train_classifier(
         graph,
@@ -290,20 +292,15 @@ def cmd_train(args) -> int:
     )
     print(f"test accuracy {test_acc:.4f}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        preds = predict(model, graph, h0)
         write_report(
             {
                 "test_accuracy": test_acc,
-                "val_accuracy": accuracy(preds, bundle.labels, bundle.split.val)
-                if bundle.split.val
-                else None,
+                "val_accuracy": model.val_accuracy,
                 "mode": config.classifier_mode,
                 "alpha": config.alpha,
                 "beta": config.beta,
             },
-            out / "train_metrics.json",
+            Path(args.out) / "train_metrics.json",
         )
     return 0
 
@@ -316,9 +313,7 @@ def cmd_pipeline(args) -> int:
     if args.baseline:
         record["gcn_baseline_accuracies"] = [run_gcn_baseline(bundle, config, s) for s in seeds]
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_report(record, out / "report.json")
+        write_report(record, Path(args.out) / "report.json")
     print(f"{args.variant}: mean accuracy {record['mean']:.4f} +/- {record['std']:.4f} over {len(seeds)} seed(s)")
     return 0
 
@@ -332,9 +327,7 @@ def cmd_ablate(args) -> int:
     for v, rec in records.items():
         print(f"{v:>22}: {rec['mean']:.4f} +/- {rec['std']:.4f}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_report(records, out / "ablation.json")
+        write_report(records, Path(args.out) / "ablation.json")
     return 0
 
 
@@ -352,9 +345,7 @@ def cmd_sweep(args) -> int:
     for row in rows:
         print(f"{args.param}={row['value']}: {row['mean']:.4f} +/- {row['std']:.4f}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_report({"param": args.param, "rows": rows}, out / "sweep.json")
+        write_report({"param": args.param, "rows": rows}, Path(args.out) / "sweep.json")
     return 0
 
 

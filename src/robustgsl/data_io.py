@@ -213,23 +213,29 @@ def _write_rows(fh, table: np.ndarray, line_format: str) -> None:
         fh.write((line_format * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _create(path) -> Path:
+    """path, with its parent directory made if it is missing."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def save_edges(graph: SparseGraph, path) -> None:
-    with Path(path).open("w") as fh:
+    with _create(path).open("w") as fh:
         _write_rows(fh, graph.edge_array(), "%d\t%d\n")
 
 
 def save_features(features: np.ndarray, path) -> None:
     """Header 'N d', then each row's values as repr of Python floats."""
     n, dim = features.shape
-    with Path(path).open("w") as fh:
+    with _create(path).open("w") as fh:
         fh.write(f"{n} {dim}\n")
         _write_rows(fh, np.asarray(features, dtype=float), " ".join(["%r"] * dim) + "\n")
 
 
 def save_graph_bundle(bundle: GraphBundle, dir_path) -> None:
     d = Path(dir_path)
-    d.mkdir(parents=True, exist_ok=True)
-    save_edges(bundle.graph, d / "edges.tsv")
+    save_edges(bundle.graph, d / "edges.tsv")  # creates d
     save_features(bundle.features, d / "features.txt")
     labels = np.asarray(bundle.labels, dtype=np.int64)
     with (d / "labels.tsv").open("w") as fh:
@@ -319,8 +325,7 @@ def summarize_runs(accuracies) -> dict:
 
 def write_report(record: dict, path) -> None:
     """Serialize a result record as JSON with deterministic key order."""
-    path = Path(path)
-    with path.open("w") as fh:
+    with _create(path).open("w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
 

@@ -98,6 +98,36 @@ def edge_difference(a: SparseGraph, b: SparseGraph) -> np.ndarray:
     return ea[np.isin(edge_keys(ea, n), edge_keys(b.edge_array(), n), invert=True)]
 
 
+def sample_nonedge(rng: np.random.Generator, n: int, forbidden: set, labels=None) -> Edge | None:
+    """Uniform rejection sampling of an absent unordered pair.
+
+    With labels given, only inter-class pairs qualify. Returns None once the
+    eligible pool is provably empty (checked by enumeration after repeated
+    rejection failures).
+    """
+    for _ in range(50 * n):
+        u = int(rng.integers(n))
+        v = int(rng.integers(n))
+        if u == v:
+            continue
+        e = canonical_edge(u, v)
+        if e in forbidden:
+            continue
+        if labels is not None and labels[u] == labels[v]:
+            continue
+        return e
+    # Slow path: enumerate to distinguish "unlucky" from "exhausted".
+    pool = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (i, j) not in forbidden and (labels is None or labels[i] != labels[j])
+    ]
+    if not pool:
+        return None
+    return pool[int(rng.integers(len(pool)))]
+
+
 def symmetrized(g: SparseGraph) -> SparseGraph:
     """Undirected graph over all ordered edges of g (OR with its transpose);
     an undirected g is returned as it is."""

@@ -6,6 +6,7 @@ sweeps. Every run is a pure function of (bundle, config, seed).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -14,7 +15,7 @@ import numpy as np
 from .classifier import ClassifierConfig, train_classifier
 from .data_io import GraphBundle, summarize_runs
 from .encoder import EncoderConfig, train_encoder
-from .graph import SparseGraph, as_edge_array, edge_difference
+from .graph import SparseGraph, edge_difference
 from .linalg import make_rng
 from .preprocess import (
     ViewBundle,
@@ -26,10 +27,10 @@ from .preprocess import (
 from .refine import prune_edges, topk_insert
 
 # Each ablation switches off one part of the pipeline through PipelineConfig
-# overrides; "no-preprocess" also skips rough_preprocess (see run_variant).
+# overrides.
 VARIANTS = {
     "full": {},
-    "no-preprocess": {"augmentation": "random"},
+    "no-preprocess": {"augmentation": "random", "t1": -math.inf},  # no score is below -inf
     "no-augmentation": {"augmentation": "none"},  # views are copies of the base graph
     "random-augmentation": {"augmentation": "random"},  # random add/remove, not recovery
     "prune-only": {"k": 0},  # no top-k insertion
@@ -78,16 +79,37 @@ class PipelineRun:
         return np.unique(np.concatenate((self.removed_preprocess, self.removed_refine)), axis=0)
 
 
-def build_views(base: SparseGraph, removed: np.ndarray, config: PipelineConfig, seed: int) -> ViewBundle:
-    """The encoder's augmentation views of the pre-processed graph."""
+def preprocess_stage(
+    graph: SparseGraph, features: np.ndarray, config: PipelineConfig, seed: int
+) -> tuple[SparseGraph, np.ndarray, ViewBundle]:
+    """Rough pre-process, then the encoder's augmentation views of its result.
+
+    Returns (pre-processed graph, removed edges, views).
+    """
+    base, removed = rough_preprocess(graph, features, config.metric, config.t1)
     aug = config.augmentation
     if aug == "recovery":
-        return make_views(base, removed, config.recover_p, config.num_views, seed)
-    if aug == "random":
-        return random_perturb_views(base, config.recover_p, config.num_views, seed)
-    if aug == "none":
-        return identical_views(base, config.num_views)
-    raise ValueError(f"unknown augmentation {aug!r}")
+        views = make_views(base, removed, config.recover_p, config.num_views, seed)
+    elif aug == "random":
+        views = random_perturb_views(base, config.recover_p, config.num_views, seed)
+    elif aug == "none":
+        views = identical_views(base, config.num_views)
+    else:
+        raise ValueError(f"unknown augmentation {aug!r}")
+    return base, removed, views
+
+
+def refine_stage(
+    base: SparseGraph, z: np.ndarray, config: PipelineConfig
+) -> tuple[SparseGraph, np.ndarray, SparseGraph]:
+    """Prune base at t2, then insert each node's k most similar peers.
+
+    Similarity is taken on the encoder's pre-activation z: the ReLU embeddings
+    are nonnegative, so their cosines never fall to t2 and refinement would
+    prune nothing. Returns (retained graph, pruned edges, refined directed graph).
+    """
+    retained = prune_edges(base, z, config.t2)
+    return retained, edge_difference(base, retained), topk_insert(retained, z, config.k)
 
 
 def run_variant(
@@ -102,20 +124,10 @@ def run_variant(
     classifier_seed = int(rng.integers(2 ** 63))
 
     g_in = bundle.graph
-    if variant == "no-preprocess":
-        base, removed = g_in, as_edge_array([])
-    else:
-        base, removed = rough_preprocess(g_in, bundle.features, config.metric, config.t1)
-
-    views = build_views(base, removed, config, view_seed)
-    # Similarity is taken on the pre-activation z: the ReLU embeddings are
-    # nonnegative, so their cosines never fall to t2 and refinement would prune
-    # nothing. The classifier keeps the activated embeddings as features.
+    base, removed, views = preprocess_stage(g_in, bundle.features, config, view_seed)
+    # The classifier keeps the activated embeddings as its features.
     _, embeddings, z = train_encoder(views, bundle.features, config.encoder, encoder_seed)
-
-    retained = prune_edges(base, z, config.t2)
-    removed_refine = edge_difference(base, retained)
-    refined = topk_insert(retained, z, config.k)
+    retained, removed_refine, refined = refine_stage(base, z, config)
 
     _, test_acc = train_classifier(
         refined,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Edge, SparseGraph, as_edge_array, canonical_edge
+from .graph import Edge, SparseGraph, as_edge_array, sample_nonedge
 from .linalg import EDGE_BLOCK, edge_cosines, make_rng
 
 METRICS = ("jaccard", "cosine")
@@ -128,15 +128,10 @@ def random_perturb_views(base: SparseGraph, ratio: float, m: int, seed: int) -> 
         kept = np.ones(len(edges), dtype=bool)
         if count:
             kept[rng.choice(len(edges), size=count, replace=False)] = False
-        new_edges: set = set()
-        while len(new_edges) < count:
-            u = int(rng.integers(n))
-            v = int(rng.integers(n))
-            if u == v:
-                continue
-            e = canonical_edge(u, v)
-            if e in present or e in new_edges:
-                continue
-            new_edges.add(e)
+        # The size check above leaves at least count absent pairs to draw.
+        taken = set(present)
+        for _ in range(count):
+            taken.add(sample_nonedge(rng, n, taken))
+        new_edges = taken - present
         views.append(SparseGraph.from_edges(n, np.concatenate((edges[kept], as_edge_array(new_edges)))))
     return ViewBundle(base=base, views=views)

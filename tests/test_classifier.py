@@ -21,7 +21,8 @@ from robustgsl.linalg import adam_init, adam_step, glorot, grad_check, make_rng
 def reference_train(g, h0, labels, split, config, mode, alpha, beta, seed):
     """train_classifier as a plain loop over the public API: every epoch calls
     classifier_loss_and_grads, then adam_step, then predicts the validation
-    nodes, so nothing is carried from one epoch to the next."""
+    nodes, so nothing is carried from one epoch to the next. Returns the
+    selected model, its test accuracy and its validation accuracy."""
     rng = make_rng(seed)
     params = {
         "w1": glorot(h0.shape[1], config.hidden, rng),
@@ -41,7 +42,7 @@ def reference_train(g, h0, labels, split, config, mode, alpha, beta, seed):
         if val_acc > best_val:
             best, best_val = {k: v.copy() for k, v in params.items()}, val_acc
     model = ClassifierModel(best["w1"], best["w2"], mode, alpha, beta)
-    return model, accuracy(predict(model, g, h0), labels, split.test)
+    return model, accuracy(predict(model, g, h0), labels, split.test), best_val
 
 
 def random_directed_graph(n: int, density: float, rng: np.random.Generator) -> SparseGraph:
@@ -247,10 +248,10 @@ class TestTrainClassifier:
         args = (sbm.graph, sbm.features, sbm.labels, sbm.split, ClassifierConfig(epochs=60),
                 mode, alpha, beta, 7)
         model, acc = train_classifier(*args)
-        ref_model, ref_acc = reference_train(*args)
+        ref_model, ref_acc, ref_val = reference_train(*args)
         np.testing.assert_array_equal(model.w1, ref_model.w1)
         np.testing.assert_array_equal(model.w2, ref_model.w2)
-        assert acc == ref_acc
+        assert (acc, model.val_accuracy) == (ref_acc, ref_val)
 
     def test_vanilla_on_directed_equals_undirected(self, sbm):
         # Each edge stored once, with u < v: its symmetrization is sbm.graph.
@@ -274,10 +275,19 @@ class TestTrainClassifier:
                 ClassifierConfig(epochs=1), "vanilla", 0.0, 0.0, 0,
             )
 
+    def test_zero_epochs_rejected(self, sbm):
+        # With no epoch there is no model selection, and no validation accuracy to report.
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            train_classifier(
+                sbm.graph, sbm.features, sbm.labels, sbm.split,
+                ClassifierConfig(epochs=0), "vanilla", 0.0, 0.0, 0,
+            )
+
     def test_empty_val_warns(self, sbm):
         split = DataSplit(train=list(range(10)), val=[], test=list(range(10, 20)))
         with pytest.warns(UserWarning, match="validation"):
-            train_classifier(
+            model, _ = train_classifier(
                 sbm.graph, sbm.features, sbm.labels, split,
                 ClassifierConfig(epochs=2), "vanilla", 0.0, 0.0, 0,
             )
+        assert model.val_accuracy is None

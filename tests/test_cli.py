@@ -153,6 +153,12 @@ class TestStageCommands:
         metrics = read_report(out / "train_metrics.json")
         assert 0.0 <= metrics["test_accuracy"] <= 1.0
 
+    def test_embed_into_new_directory(self, poisoned_dir, tmp_path):
+        pre = tmp_path / "pre"
+        assert main(["preprocess", "--in", str(poisoned_dir), "--out", str(pre)]) == 0
+        emb = tmp_path / "new" / "dir" / "emb.txt"
+        assert main(["embed", "--in", str(poisoned_dir), "--pre", str(pre), "--epochs", "2", "--out", str(emb)]) == 0
+        assert load_features(emb).shape == load_features(emb.with_name("emb.preact.txt")).shape
 
     def test_preprocess_report_records_applied_defaults(self, poisoned_dir, tmp_path):
         pre = tmp_path / "pre"
@@ -343,8 +349,9 @@ class TestStageConfig:
     @pytest.mark.parametrize("flags, t2, k", [([], DEFAULTS.t2, DEFAULTS.k), (["--t2", "0.5", "--k", "2"], 0.5, 2)])
     def test_refine(self, stage_inputs, tmp_path, flags, t2, k, monkeypatch):
         calls = {}
-        monkeypatch.setattr("robustgsl.cli.prune_edges", _recorder(calls, "prune_edges", passthrough=True))
-        monkeypatch.setattr("robustgsl.cli.topk_insert", _recorder(calls, "topk_insert"))
+        # refine runs pipeline.refine_stage, which calls the names pipeline imports.
+        monkeypatch.setattr("robustgsl.pipeline.prune_edges", _recorder(calls, "prune_edges", passthrough=True))
+        monkeypatch.setattr("robustgsl.pipeline.topk_insert", _recorder(calls, "topk_insert"))
         inputs, emb = stage_inputs
         with pytest.raises(_Stop):
             main(["refine", *inputs, "--embeddings", emb, "--out", str(tmp_path / "r"), *flags])
@@ -429,6 +436,16 @@ class TestErrorExitCodes:
         argv = ["refine", "--in", str(poisoned_dir), "--pre", str(pre), "--embeddings", str(emb)]
         assert main(argv + ["--out", str(tmp_path / "refined")]) == 2
         assert str(preact) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [59, 61])
+    def test_train_embeddings_row_count(self, poisoned_dir, tmp_path, rows, capsys):
+        # The bundle has 60 nodes; the error names the embeddings file.
+        emb = tmp_path / "emb.txt"
+        save_features(make_rng(0).normal(size=(rows, 4)), emb)
+        out = tmp_path / "train"
+        assert main(["train", "--in", str(poisoned_dir), "--embeddings", str(emb), "--out", str(out)]) == 2
+        assert f"{emb}: {rows} rows, but the graph has 60 nodes" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, flag, value",
