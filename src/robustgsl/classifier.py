@@ -84,30 +84,55 @@ def _forward(q: sp.csr_matrix, qh0: np.ndarray, w1: np.ndarray, w2: np.ndarray):
     return z1, h1, logits
 
 
+def _labelled_forward(
+    q_lab: sp.csr_matrix,
+    lab: np.ndarray,
+    qh0: np.ndarray,
+    w1: np.ndarray,
+    w2: np.ndarray,
+    prop: np.ndarray,
+):
+    """_forward with the second propagation on the rows lab only, q_lab = q[lab].
+
+    The propagated rows are written into ``prop``, an N x hidden array that is
+    zero elsewhere, so the product with w2 keeps _forward's shape and the rows
+    lab of the logits keep its bits. The other rows of the logits are not
+    _forward's.
+    """
+    z1 = qh0 @ w1
+    h1 = relu(z1)
+    prop[lab] = spmm(q_lab, h1)
+    return z1, h1, prop @ w2
+
+
 def _loss_and_grads(
     forward: tuple[np.ndarray, np.ndarray, np.ndarray],
     w1: np.ndarray,
     w2: np.ndarray,
-    qt: sp.csr_matrix,
+    qt_ids: sp.csr_matrix,
     qh0: np.ndarray,
     labels: np.ndarray,
     node_ids: np.ndarray,
     weight_decay: float,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """classifier_loss_and_grads given _forward's output at (w1, w2), qt = q.T
-    and qh0 = q @ h0, so a training loop computes each of them once."""
+    """classifier_loss_and_grads given a forward pass at (w1, w2) whose logits
+    are right on the rows node_ids, qt_ids = q[node_ids].T and qh0 = q @ h0,
+    so a training loop computes each of them once.
+
+    The logits' gradient is back-propagated through qt_ids, whose column k is
+    row node_ids[k] of q: a node listed twice adds both of its rows' terms.
+    """
     z1, h1, logits = forward
     probs = _softmax(logits[node_ids])
     picked = probs[np.arange(len(node_ids)), labels[node_ids]]
     loss = -np.log(np.clip(picked, 1e-12, None)).mean()
     loss += 0.5 * weight_decay * (np.sum(w1 * w1) + np.sum(w2 * w2))
 
-    d_logits = np.zeros_like(logits)
-    grad = probs.copy()
+    grad = probs
     grad[np.arange(len(node_ids)), labels[node_ids]] -= 1.0
-    d_logits[node_ids] = grad / len(node_ids)
+    grad /= len(node_ids)
 
-    qt_dl = spmm(qt, d_logits)
+    qt_dl = spmm(qt_ids, grad)
     d_w2 = h1.T @ qt_dl + weight_decay * w2
     d_h1 = qt_dl @ w2.T
     d_z1 = d_h1 * (z1 > 0)
@@ -126,8 +151,10 @@ def classifier_loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over node_ids plus L2 on both layer weights."""
     qh0 = spmm(q, h0)
-    forward = _forward(q, qh0, w1, w2)
-    return _loss_and_grads(forward, w1, w2, q.T.tocsr(), qh0, labels, node_ids, weight_decay)
+    q_ids = q[node_ids]
+    prop = np.zeros((q.shape[0], w1.shape[1]))
+    forward = _labelled_forward(q_ids, node_ids, qh0, w1, w2, prop)
+    return _loss_and_grads(forward, w1, w2, q_ids.T.tocsr(), qh0, labels, node_ids, weight_decay)
 
 
 def predict(model: ClassifierModel, g: SparseGraph, h0: np.ndarray) -> np.ndarray:
@@ -171,23 +198,28 @@ def train_classifier(
         "w2": glorot(config.hidden, num_classes, rng),
     }
     q = propagation_matrix(g, mode, alpha, beta)
-    qt = q.T.tocsr()
     qh0 = spmm(q, h0)
     train_ids = np.asarray(split.train, dtype=np.int64)
     val_ids = np.asarray(split.val, dtype=np.int64)
+    # Epochs read the logits of the train and validation rows only, so they
+    # propagate only those rows, in the split's order.
+    lab = np.concatenate((train_ids, val_ids))
+    q_lab = q[lab]
+    qt_train = q_lab[: len(train_ids)].T.tocsr()
+    prop = np.zeros((g.num_nodes, config.hidden))
     state = adam_init(params, config.lr)
     best = {k: v.copy() for k, v in params.items()}
     best_val = -1.0
-    forward = _forward(q, qh0, params["w1"], params["w2"])
+    forward = _labelled_forward(q_lab, lab, qh0, params["w1"], params["w2"], prop)
     for epoch in range(config.epochs):
         loss, grads = _loss_and_grads(
-            forward, params["w1"], params["w2"], qt, qh0, labels, train_ids, config.weight_decay
+            forward, params["w1"], params["w2"], qt_train, qh0, labels, train_ids, config.weight_decay
         )
         if not np.isfinite(loss):
             raise NumericError(f"classifier loss diverged at epoch {epoch}")
         params = adam_step(params, grads, state)
         # Validation and the next epoch's loss share this forward pass.
-        forward = _forward(q, qh0, params["w1"], params["w2"])
+        forward = _labelled_forward(q_lab, lab, qh0, params["w1"], params["w2"], prop)
         if val_ids.size:
             logits = forward[2]
             val_acc = float(np.mean(np.argmax(logits[val_ids], axis=1) == labels[val_ids]))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +34,10 @@ class DataSplit:
         for i in all_ids:
             if not (0 <= i < num_nodes):
                 raise BundleFormatError(f"split references node {i}, out of range 0..{num_nodes - 1}")
+        for name, ids in (("train", self.train), ("val", self.val), ("test", self.test)):
+            repeated = [i for i, count in Counter(ids).items() if count > 1]
+            if repeated:
+                raise BundleFormatError(f"split set {name} lists node {min(repeated)} more than once")
         for a_name, a, b_name, b in [
             ("train", self.train, "val", self.val),
             ("train", self.train, "test", self.test),

@@ -9,7 +9,7 @@ by finite-difference checks in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def _view_delta(ax_base: np.ndarray, ax_view: np.ndarray) -> tuple[np.ndarray, n
 def _contrastive_epoch(
     ax_base: np.ndarray,
     ax_shuf: np.ndarray,
-    ax_views: list[np.ndarray],
+    ax_views: Iterable[np.ndarray],
     activation: str,
     hidden: int,
 ) -> Callable[[np.ndarray, np.ndarray], tuple[float, dict[str, np.ndarray]]]:
@@ -81,87 +81,85 @@ def _contrastive_epoch(
     back some of the removed ones), so its A_hat X differs from ``ax_base``
     only in the rows those edges renormalize. Each view is kept as those
     changed rows; its other rows are bit-equal to the base rows, so their
-    activations and ReLU masks are the base's. An epoch then takes four
-    N x d x h products (forward and backward through the base and the
-    shuffled features) and one small product per view over its changed rows.
+    activations and ReLU masks are the base's. ``ax_views`` is consumed one
+    product at a time, so a generator keeps a single view product alive.
 
-    The working arrays and the boolean ReLU masks are allocated here, once per
-    run, and every call overwrites them; the loss and the gradients it returns
-    are fresh.
+    Once per run, the base rows, the shuffled rows and every view's changed
+    rows are stacked into one R x d operand, R = 2N + sum_j |C_j|. An epoch
+    takes one forward product of it into one R x h activation buffer and one
+    backward product ``operand.T @ rows``. The gradient rows come from one
+    R x 2M by 2M x h product: its left columns are the discriminator's
+    logit gradients of the base and shuffled rows, and the fixed indicators
+    of which rows make up each view; its right rows are ``w_disc @ s_j`` and
+    each view's readout gradient.
+
+    The working arrays are allocated here, once per run, and every call
+    overwrites them; the loss and the gradients it returns are fresh. The
+    returned function carries the operand's base rows as ``ax_base``, so a
+    caller can drop its own copy.
     """
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
-    if not ax_views:
-        raise ValueError("need at least one view")
     n = ax_base.shape[0]
-    m = len(ax_views)
-    scale = 1.0 / (2.0 * n * m)
-    # unchanged[j, i] is 1 when row i of view j equals the base row.
-    unchanged = np.ones((m, n))
-    ax_changed = []
-    for j, ax in enumerate(ax_views):
+    changed, ax_changed = [], []
+    for ax in ax_views:
         rows, ax_rows = _view_delta(ax_base, ax)
-        unchanged[j, rows] = 0.0
+        del ax  # free this product before the next one is computed
+        changed.append(rows)
         ax_changed.append(ax_rows)
-    h_pos, h_neg, work, grad = (np.empty((n, hidden)) for _ in range(4))
-    h_changed = [np.empty((len(ax), hidden)) for ax in ax_changed]
+    m = len(changed)
+    if not m:
+        raise ValueError("need at least one view")
+    operand = np.concatenate((ax_base, ax_shuf, *ax_changed))
+    del ax_changed
+    r = operand.shape[0]
+    scale = 1.0 / (2.0 * n * m)
+    # left[:2N, :M] takes each epoch's logit gradients. Column M + j, fixed for
+    # the run, marks the operand rows that make up view j: the base rows it
+    # shares, then its own changed rows.
+    left = np.zeros((r, 2 * m))
+    start = 2 * n
+    for j, rows in enumerate(changed):
+        left[:n, m + j] = 1.0
+        left[rows, m + j] = 0.0
+        left[start : start + len(rows), m + j] = 1.0
+        start += len(rows)
+    selector = left[:, m:].T
+    right = np.empty((2 * m, hidden))
+    act = np.empty((r, hidden))
     # The linear activation has no mask: its gradient factor is exactly 1.
-    masks = [
-        np.empty(h.shape, dtype=bool) if activation == "relu" else None
-        for h in (h_pos, h_neg, *h_changed)
-    ]
-
-    def forward(ax, w_enc, out, mask):
-        np.matmul(ax, w_enc, out=out)
-        if mask is not None:
-            np.greater(out, 0.0, out=mask)
-            np.maximum(out, 0.0, out=out)
-        return out
-
-    def backward(ax, out, mask):
-        """ax.T @ (out * mask): the gradient's contribution through one graph."""
-        if mask is not None:
-            np.multiply(out, mask, out=out)
-        return ax.T @ out
+    mask = np.empty((r, hidden), dtype=bool) if activation == "relu" else None
 
     def loss_and_grads(w_enc: np.ndarray, w_disc: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-        forward(ax_base, w_enc, h_pos, masks[0])
-        forward(ax_shuf, w_enc, h_neg, masks[1])
-        sums = unchanged @ h_pos  # M x h column sums of each view's activations
-        for j in range(m):
-            sums[j] += forward(ax_changed[j], w_enc, h_changed[j], masks[2 + j]).sum(axis=0)
-        summaries = sigmoid(sums / n)  # the readout: sigmoid of each view's mean
+        np.matmul(operand, w_enc, out=act)
+        if mask is not None:
+            np.greater(act, 0.0, out=mask)
+            np.maximum(act, 0.0, out=act)
+        summaries = sigmoid(selector @ act / n)  # the readout: sigmoid of each view's mean
 
-        ws = w_disc @ summaries.T  # h x M
-        logits_pos = h_pos @ ws  # N x M
-        logits_neg = h_neg @ ws
-        p = sigmoid(logits_pos)
-        q = sigmoid(logits_neg)
+        h = act[: 2 * n]  # the base rows, then the shuffled rows
+        probs = sigmoid(h @ (w_disc @ summaries.T))  # 2N x M
+        p, q = probs[:n], probs[n:]
         pc = np.clip(p, PROB_CLIP, 1 - PROB_CLIP)
         qc = np.clip(q, PROB_CLIP, 1 - PROB_CLIP)
         loss = -scale * (np.log(pc).sum() + np.log(1 - qc).sum())
 
         # Gradient w.r.t. the discriminator logits; zero where the clip is active.
-        g_pos = -scale * (p * (1 - p) / pc) * (p == pc)
-        g_neg = scale * (q * (1 - q) / (1 - qc)) * (q == qc)
+        g = left[: 2 * n, :m]
+        g[:n] = -scale * (p * (1 - p) / pc) * (p == pc)
+        g[n:] = scale * (q * (1 - q) / (1 - qc)) * (q == qc)
+        pg = h.T @ g  # hidden x M, shared by both discriminator gradients
+        d_wd = pg @ summaries
+        # Every row of view j's activation gradient is right[M + j].
+        right[:m] = summaries @ w_disc.T  # row j is w_disc @ s_j
+        right[m:] = (pg.T @ w_disc) * summaries * (1 - summaries) / n
 
-        d_wd = h_pos.T @ g_pos @ summaries + h_neg.T @ g_neg @ summaries
-        sw = summaries @ w_disc.T  # row j is w_disc @ s_j
-        d_summ = g_pos.T @ h_pos @ w_disc + g_neg.T @ h_neg @ w_disc  # M x h
-        # Every row of view j's activation gradient is d_view[j].
-        d_view = d_summ * summaries * (1 - summaries) / n
+        np.matmul(left, right, out=act)
+        if mask is not None:
+            np.multiply(act, mask, out=act)
+        return float(loss), {"w_enc": operand.T @ act, "w_disc": d_wd}
 
-        # The views' unchanged rows share the base rows' A_hat X and mask.
-        np.matmul(g_pos, sw, out=grad)
-        np.add(grad, np.matmul(unchanged.T, d_view, out=work), out=grad)
-        d_we = backward(ax_base, grad, masks[0])
-        d_we += backward(ax_shuf, np.matmul(g_neg, sw, out=grad), masks[1])
-        for j in range(m):
-            h_changed[j][...] = d_view[j]
-            d_we += backward(ax_changed[j], h_changed[j], masks[2 + j])
-
-        return float(loss), {"w_enc": d_we, "w_disc": d_wd}
-
+    loss_and_grads.ax_base = operand[:n]
     return loss_and_grads
 
 
@@ -176,7 +174,7 @@ def contrastive_loss(
     a_base = renormalized_adjacency(g_base)
     ax_base = spmm(a_base, features)
     ax_shuf = spmm(a_base, shuffled)
-    ax_views = [spmm(renormalized_adjacency(v), features) for v in views]
+    ax_views = (spmm(renormalized_adjacency(v), features) for v in views)
     epoch = _contrastive_epoch(ax_base, ax_shuf, ax_views, model.activation, model.w_enc.shape[1])
     return epoch(model.w_enc, model.w_disc)
 
@@ -205,12 +203,12 @@ def train_encoder(
 
     a_base = renormalized_adjacency(bundle.base)
     ax_base = spmm(a_base, features)
-    ax_views = [spmm(renormalized_adjacency(v), features) for v in bundle.views]
     ax_shuf = spmm(a_base, shuffle_features(features, int(rng.integers(2 ** 63))))
+    ax_views = (spmm(renormalized_adjacency(v), features) for v in bundle.views)
 
     state = adam_init(params, config.lr)
     loss_and_grads = _contrastive_epoch(ax_base, ax_shuf, ax_views, config.activation, config.hidden)
-    del ax_views  # the epoch keeps only each view's changed rows
+    del ax_base, ax_shuf  # the epoch's operand holds their rows
     best_loss = np.inf
     stale = 0
     for epoch in range(config.epochs):
@@ -229,5 +227,5 @@ def train_encoder(
         params = adam_step(params, grads, state)
 
     model = EncoderModel(w_enc=best["w_enc"], w_disc=best["w_disc"], activation=config.activation)
-    z = ax_base @ model.w_enc
+    z = loss_and_grads.ax_base @ model.w_enc
     return model, _activate(z, model.activation), z

@@ -142,12 +142,15 @@ class TestPropagation:
 
 
 class TestLossAndGradients:
-    def test_gradients_match_finite_differences(self, rng):
+    # The loss is a mean over node_ids as listed, so a repeated node counts
+    # twice in the loss and must count twice in the gradient.
+    @pytest.mark.parametrize("node_ids", [[0, 2, 5, 7, 9], [9, 2, 0, 7, 5], [0, 2, 2, 5, 7, 9]])
+    def test_gradients_match_finite_differences(self, rng, node_ids):
         g = random_undirected_graph(12, 0.3, rng)
         h0 = rng.normal(size=(12, 5))
         labels = rng.integers(0, 3, size=12)
         q = propagation_matrix(g, "advanced", alpha=0.6, beta=2.0)
-        node_ids = np.array([0, 2, 5, 7, 9])
+        node_ids = np.array(node_ids)
 
         def lag(params):
             return classifier_loss_and_grads(
@@ -244,8 +247,19 @@ class TestTrainClassifier:
         assert a[1] == b[1]
 
     @pytest.mark.parametrize("mode, alpha, beta", [("advanced", 0.6, 2.0), ("vanilla", 0.0, 0.0)])
-    def test_bitwise_equal_to_reference_loop(self, sbm, mode, alpha, beta):
-        args = (sbm.graph, sbm.features, sbm.labels, sbm.split, ClassifierConfig(epochs=60),
+    @pytest.mark.parametrize("order", ["sorted", "shuffled"])
+    def test_bitwise_equal_to_reference_loop(self, sbm, mode, alpha, beta, order):
+        split = sbm.split
+        if order == "shuffled":
+            # split.json may list its nodes in any order.
+            rng = make_rng(4)
+            split = DataSplit(
+                train=rng.permutation(split.train).tolist(),
+                val=rng.permutation(split.val).tolist(),
+                test=split.test,
+            )
+            assert split.train != sorted(split.train) and split.val != sorted(split.val)
+        args = (sbm.graph, sbm.features, sbm.labels, split, ClassifierConfig(epochs=60),
                 mode, alpha, beta, 7)
         model, acc = train_classifier(*args)
         ref_model, ref_acc, ref_val = reference_train(*args)

@@ -610,6 +610,20 @@ class TestErrorExitCodes:
         assert f"missing file: {pre / 'removed_edges.tsv'}" in capsys.readouterr().err
         assert not (tmp_path / "refined").exists()
 
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    def test_repeated_split_node(self, clean_dir, tmp_path, command, capsys):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(clean_dir, broken)
+        split = json.loads((broken / "split.json").read_text())
+        split["train"].append(split["train"][0])
+        (broken / "split.json").write_text(json.dumps(split))
+        out = tmp_path / "out"
+        assert main([command, "--in", str(broken), "--out", str(out)]) == 2
+        assert f"split set train lists node {split['train'][0]} more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_bundle_file(self, clean_dir, tmp_path, capsys):
         import shutil
 

@@ -51,6 +51,16 @@ class TestBundleIo:
         with pytest.raises(BundleFormatError, match="node 2"):
             load_graph_bundle(tmp_path)
 
+    @pytest.mark.parametrize("name, split", [
+        ("train", {"train": [0, 0], "val": [1], "test": [2]}),
+        ("test", {"train": [0], "val": [1], "test": [2, 2, 2]}),
+    ])
+    def test_repeated_split_node_rejected(self, tmp_path, name, split):
+        save_graph_bundle(toy_bundle(), tmp_path)
+        (tmp_path / "split.json").write_text(json.dumps(split))
+        with pytest.raises(BundleFormatError, match=f"split set {name} lists node {split[name][0]} more"):
+            load_graph_bundle(tmp_path)
+
     def test_ragged_features_rejected(self, tmp_path):
         save_graph_bundle(toy_bundle(), tmp_path)
         (tmp_path / "features.txt").write_text("3 2\n1 0\n0.5\n0 1\n")
