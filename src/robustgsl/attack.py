@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SparseGraph, as_edge_array, edge_keys, sample_nonedge
+from .graph import SparseGraph, edge_keys, key_edges, sample_nonedge
 from .linalg import make_rng
 
 # Probability that a change tries an addition before a deletion.
@@ -68,11 +68,11 @@ def _draw_changes(
     inter-class one when labels are given) or the deletion of a uniform pick
     from deletable.
 
-    A coin with P(add) = ADD_FRACTION picks each change's first move; the other
-    move is the fallback when the first one's pool is empty. present holds the
-    pairs that may not be added and grows with every addition. Returns the
-    added and removed edges as sorted (E, 2) int64 arrays, and whether all
-    target changes were made.
+    Pairs are keys u * n + v with u < v. A coin with P(add) = ADD_FRACTION
+    picks each change's first move; the other move is the fallback when the
+    first one's pool is empty. present holds the keys that may not be added
+    and grows with every addition. Returns the added and removed edges as
+    sorted (E, 2) int64 arrays, and whether all target changes were made.
     """
     added, removed = [], []
     complete = True
@@ -80,10 +80,10 @@ def _draw_changes(
         add_first = rng.random() < ADD_FRACTION
         for add in (add_first, not add_first):
             if add:
-                e = sample_nonedge(rng, n, present, labels)
-                if e is not None:
-                    present.add(e)
-                    added.append(e)
+                key = sample_nonedge(rng, n, present, labels)
+                if key is not None:
+                    present.add(key)
+                    added.append(key)
                     break
             elif deletable:
                 removed.append(deletable.pop(int(rng.integers(len(deletable)))))
@@ -91,17 +91,17 @@ def _draw_changes(
         else:
             complete = False
             break
-    return as_edge_array(sorted(added)), as_edge_array(sorted(removed)), complete
+    return key_edges(added, n), key_edges(removed, n), complete
 
 
 def random_attack(g: SparseGraph, budget: AttackBudget) -> tuple[SparseGraph, PerturbationRecord]:
     """Uniform additions of absent pairs and uniform deletions of edges; a
     removed edge is never re-added."""
     rng = make_rng(budget.seed)
-    deletable = g.edges()
+    keys = edge_keys(g.edge_array(), g.num_nodes).tolist()
     # Always completes: the budget is at most |E|, and the pools (never refilled) hold all n(n-1)/2 pairs.
     record = PerturbationRecord(
-        *_draw_changes(rng, g.num_nodes, budget.num_changes(g.num_edges), deletable, set(deletable))
+        *_draw_changes(rng, g.num_nodes, budget.num_changes(g.num_edges), keys, set(keys))
     )
     return apply_perturbation(g, record), record
 
@@ -115,9 +115,10 @@ def dice_attack(
         raise ValueError("dice attack requires a label for every node")
     rng = make_rng(budget.seed)
     target = budget.num_changes(g.num_edges)
-    edges = g.edges()
-    intra = [e for e in edges if labels[e[0]] == labels[e[1]]]
-    record = PerturbationRecord(*_draw_changes(rng, g.num_nodes, target, intra, set(edges), labels))
+    edges = g.edge_array()
+    keys = edge_keys(edges, g.num_nodes)
+    intra = keys[labels[edges[:, 0]] == labels[edges[:, 1]]].tolist()
+    record = PerturbationRecord(*_draw_changes(rng, g.num_nodes, target, intra, set(keys.tolist()), labels))
     if not record.complete:
         warnings.warn(
             f"dice pools exhausted after {record.num_changes} of {target} changes;"

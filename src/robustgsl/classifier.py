@@ -76,28 +76,16 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward(q: sp.csr_matrix, qh0: np.ndarray, w1: np.ndarray, w2: np.ndarray):
-    """Both layers, given the first propagation qh0 = q @ h0."""
-    z1 = qh0 @ w1
-    h1 = relu(z1)
-    logits = spmm(q, h1) @ w2
-    return z1, h1, logits
-
-
 def _labelled_forward(
-    q_lab: sp.csr_matrix,
-    lab: np.ndarray,
-    qh0: np.ndarray,
-    w1: np.ndarray,
-    w2: np.ndarray,
-    prop: np.ndarray,
+    q_lab: sp.csr_matrix, lab, qh0: np.ndarray, w1: np.ndarray, w2: np.ndarray, prop: np.ndarray
 ):
-    """_forward with the second propagation on the rows lab only, q_lab = q[lab].
+    """Both layers, given the first propagation qh0 = q @ h0, with the second
+    propagation on the rows lab only (an index array or a slice), q_lab = q[lab].
 
-    The propagated rows are written into ``prop``, an N x hidden array that is
-    zero elsewhere, so the product with w2 keeps _forward's shape and the rows
-    lab of the logits keep its bits. The other rows of the logits are not
-    _forward's.
+    The propagated rows are written into ``prop``, an N x hidden array, so
+    the product with w2 has the full N x C shape whatever lab is: every row
+    of lab gets the bits the whole of q would give it. Only those rows of the
+    logits are meaningful; the others come from whatever ``prop`` held.
     """
     z1 = qh0 @ w1
     h1 = relu(z1)
@@ -160,7 +148,8 @@ def classifier_loss_and_grads(
 def predict(model: ClassifierModel, g: SparseGraph, h0: np.ndarray) -> np.ndarray:
     """Per-node argmax class; ties go to the smaller class id."""
     q = propagation_matrix(g, model.mode, model.alpha, model.beta)
-    return np.argmax(_forward(q, spmm(q, h0), model.w1, model.w2)[2], axis=1)
+    prop = np.empty((g.num_nodes, model.w1.shape[1]))
+    return np.argmax(_labelled_forward(q, slice(None), spmm(q, h0), model.w1, model.w2, prop)[2], axis=1)
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray, node_ids) -> float:
@@ -234,5 +223,6 @@ def train_classifier(
     )
     if not split.test:
         return model, float("nan")
-    test_pred = np.argmax(_forward(q, qh0, model.w1, model.w2)[2], axis=1)
-    return model, accuracy(test_pred, labels, split.test)
+    test_ids = np.asarray(split.test, dtype=np.int64)
+    logits = _labelled_forward(q[test_ids], test_ids, qh0, model.w1, model.w2, prop)[2]
+    return model, accuracy(np.argmax(logits, axis=1), labels, test_ids)

@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, dest=key, type=rule, default=None, metavar=metavar, **kwargs)
 
     def common(p, out_required=False):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_non_negative_int, default=0)
         p.add_argument("--out", required=out_required, help="output directory")
 
     def preprocess_options(p):
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="poison a bundle's structure")
     p.add_argument("--method", choices=("random", "dice"), required=True)
-    p.add_argument("--ptb-rate", dest="ptb_rate", type=float, required=True)
+    p.add_argument("--ptb-rate", dest="ptb_rate", type=_probability, required=True)
     p.add_argument("--in", dest="in_dir", required=True)
     common(p, out_required=True)
     p.set_defaults(func=cmd_attack)
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pre", required=True, help="preprocess output directory")
     for name in ("hidden", "lr", "epochs", "patience"):
         config_flag(p, f"--{name}", f"encoder.{name}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument(
         "--out", required=True, help="embedding output file; the pre-activation goes beside it"
     )

@@ -180,6 +180,15 @@ def _read_labels(path: Path, n: int) -> np.ndarray:
     return labels
 
 
+def _read_json(path: Path, error=ValueError):
+    """The JSON value in path; text that does not parse raises error naming path."""
+    with path.open() as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSON syntax error, or bytes that are not text
+            raise error(f"{path}: not valid JSON: {exc}") from None
+
+
 def load_graph_bundle(dir_path) -> GraphBundle:
     d = Path(dir_path)
     features = load_features(d / "features.txt")
@@ -193,13 +202,15 @@ def load_graph_bundle(dir_path) -> GraphBundle:
     split_path = d / "split.json"
     if not split_path.exists():
         raise BundleFormatError(f"missing file: {split_path}")
-    with split_path.open() as fh:
-        raw = json.load(fh)
-    split = DataSplit(
-        train=[int(i) for i in raw.get("train", [])],
-        val=[int(i) for i in raw.get("val", [])],
-        test=[int(i) for i in raw.get("test", [])],
-    )
+    raw = _read_json(split_path, BundleFormatError)
+    if not isinstance(raw, dict):
+        raise BundleFormatError(f"{split_path}: expected an object with train, val and test lists")
+    sets = {name: raw.get(name, []) for name in ("train", "val", "test")}  # an absent set is empty
+    for name, ids in sets.items():
+        # type(i) is int: JSON true and false parse as bools, which are ints too.
+        if not isinstance(ids, list) or any(type(i) is not int for i in ids):
+            raise BundleFormatError(f"{split_path}: split set {name} must be a list of integer node ids")
+    split = DataSplit(**sets)
     split.validate(n)
     unlabelled = [i for i in split.train + split.val + split.test if labels[i] < 0]
     if unlabelled:
@@ -336,5 +347,4 @@ def write_report(record: dict, path) -> None:
 
 
 def read_report(path) -> dict:
-    with Path(path).open() as fh:
-        return json.load(fh)
+    return _read_json(Path(path))

@@ -45,12 +45,6 @@ def init_encoder(dim: int, config: EncoderConfig, rng: np.random.Generator) -> E
     )
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    return relu(z) if activation == "relu" else z
-
-
 def shuffle_features(features: np.ndarray, seed: int) -> np.ndarray:
     """Row permutation of the feature matrix (negative-sample construction)."""
     n = features.shape[0]
@@ -163,6 +157,20 @@ def _contrastive_epoch(
     return loss_and_grads
 
 
+def _graph_epoch(
+    base: SparseGraph, views, features: np.ndarray, shuffled: np.ndarray, activation: str, hidden: int
+):
+    """_contrastive_epoch on the A_hat X products of the base graph, of the shuffled
+    features on it and of every view. ``shuffled`` is dropped once its product is
+    made: on CPython 3.11+ a temporary argument is then freed before any view's."""
+    a_base = renormalized_adjacency(base)
+    ax_base = spmm(a_base, features)
+    ax_shuf = spmm(a_base, shuffled)
+    del shuffled
+    ax_views = (spmm(renormalized_adjacency(v), features) for v in views)
+    return _contrastive_epoch(ax_base, ax_shuf, ax_views, activation, hidden)
+
+
 def contrastive_loss(
     model: EncoderModel,
     g_base: SparseGraph,
@@ -171,11 +179,7 @@ def contrastive_loss(
     shuffled: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Binary cross-entropy contrast between positive and negative pairs."""
-    a_base = renormalized_adjacency(g_base)
-    ax_base = spmm(a_base, features)
-    ax_shuf = spmm(a_base, shuffled)
-    ax_views = (spmm(renormalized_adjacency(v), features) for v in views)
-    epoch = _contrastive_epoch(ax_base, ax_shuf, ax_views, model.activation, model.w_enc.shape[1])
+    epoch = _graph_epoch(g_base, views, features, shuffled, model.activation, model.w_enc.shape[1])
     return epoch(model.w_enc, model.w_disc)
 
 
@@ -201,14 +205,11 @@ def train_encoder(
     # into pieces that later large arrays (top-k's cosine block) cannot reuse.
     best = {k: v.copy() for k, v in params.items()}
 
-    a_base = renormalized_adjacency(bundle.base)
-    ax_base = spmm(a_base, features)
-    ax_shuf = spmm(a_base, shuffle_features(features, int(rng.integers(2 ** 63))))
-    ax_views = (spmm(renormalized_adjacency(v), features) for v in bundle.views)
-
+    loss_and_grads = _graph_epoch(
+        bundle.base, bundle.views, features, shuffle_features(features, int(rng.integers(2 ** 63))),
+        config.activation, config.hidden,
+    )
     state = adam_init(params, config.lr)
-    loss_and_grads = _contrastive_epoch(ax_base, ax_shuf, ax_views, config.activation, config.hidden)
-    del ax_base, ax_shuf  # the epoch's operand holds their rows
     best_loss = np.inf
     stale = 0
     for epoch in range(config.epochs):
@@ -228,4 +229,4 @@ def train_encoder(
 
     model = EncoderModel(w_enc=best["w_enc"], w_disc=best["w_disc"], activation=config.activation)
     z = loss_and_grads.ax_base @ model.w_enc
-    return model, _activate(z, model.activation), z
+    return model, relu(z) if model.activation == "relu" else z, z

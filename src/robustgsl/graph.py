@@ -8,13 +8,6 @@ import numpy as np
 import scipy.sparse as sp
 
 
-Edge = tuple[int, int]
-
-
-def canonical_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
 def as_edge_array(edges) -> np.ndarray:
     """Any collection of (u, v) pairs (an (E, 2) array, a list, a set) as an
     (E, 2) int64 array, in the collection's order."""
@@ -31,6 +24,12 @@ def as_edge_array(edges) -> np.ndarray:
 def edge_keys(edges: np.ndarray, num_nodes: int) -> np.ndarray:
     """Row-major key u * n + v of each in-range pair; sorted pairs give sorted keys."""
     return edges[:, 0] * num_nodes + edges[:, 1]
+
+
+def key_edges(keys, num_nodes: int) -> np.ndarray:
+    """The pairs of any collection of keys u * n + v, as a sorted (E, 2) int64 array."""
+    keys = np.sort(np.fromiter(keys, dtype=np.int64))
+    return np.column_stack(np.divmod(keys, num_nodes))
 
 
 @dataclass(frozen=True)
@@ -79,14 +78,14 @@ class SparseGraph:
         arr = np.column_stack((rows, self.adj.indices.astype(np.int64)))
         return arr if self.directed else arr[arr[:, 0] < arr[:, 1]]
 
-    def edges(self) -> list[Edge]:
+    def edges(self) -> list[tuple[int, int]]:
         return list(map(tuple, self.edge_array().tolist()))
 
     @property
     def num_edges(self) -> int:
         return self.adj.nnz if self.directed else self.adj.nnz // 2
 
-    def edge_set(self) -> set[Edge]:
+    def edge_set(self) -> set[tuple[int, int]]:
         return set(self.edges())
 
 
@@ -98,8 +97,9 @@ def edge_difference(a: SparseGraph, b: SparseGraph) -> np.ndarray:
     return ea[np.isin(edge_keys(ea, n), edge_keys(b.edge_array(), n), invert=True)]
 
 
-def sample_nonedge(rng: np.random.Generator, n: int, forbidden: set, labels=None) -> Edge | None:
-    """Uniform rejection sampling of an absent unordered pair.
+def sample_nonedge(rng: np.random.Generator, n: int, forbidden: set, labels=None) -> int | None:
+    """Uniform rejection sampling of an absent unordered pair, as its key
+    u * n + v with u < v; forbidden holds the keys that may not be drawn.
 
     With labels given, only inter-class pairs qualify. Returns None once the
     eligible pool is provably empty (checked by enumeration after repeated
@@ -110,22 +110,20 @@ def sample_nonedge(rng: np.random.Generator, n: int, forbidden: set, labels=None
         v = int(rng.integers(n))
         if u == v:
             continue
-        e = canonical_edge(u, v)
-        if e in forbidden:
+        key = u * n + v if u < v else v * n + u
+        if key in forbidden:
             continue
         if labels is not None and labels[u] == labels[v]:
             continue
-        return e
-    # Slow path: enumerate to distinguish "unlucky" from "exhausted".
-    pool = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (i, j) not in forbidden and (labels is None or labels[i] != labels[j])
-    ]
-    if not pool:
-        return None
-    return pool[int(rng.integers(len(pool)))]
+        return key
+    # Slow path: enumerate to tell "unlucky" from "exhausted", in the (i, j) order of a loop over i < j.
+    i, j = np.triu_indices(n, k=1)
+    keys = i * n + j
+    keep = np.isin(keys, np.fromiter(forbidden, dtype=np.int64, count=len(forbidden)), invert=True)
+    if labels is not None:
+        keep &= labels[i] != labels[j]
+    pool = keys[keep]
+    return int(pool[int(rng.integers(len(pool)))]) if len(pool) else None
 
 
 def symmetrized(g: SparseGraph) -> SparseGraph:

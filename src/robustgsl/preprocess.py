@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Edge, SparseGraph, as_edge_array, sample_nonedge
+from .graph import SparseGraph, as_edge_array, edge_keys, key_edges, sample_nonedge
 from .linalg import EDGE_BLOCK, edge_cosines, make_rng
 
 METRICS = ("jaccard", "cosine")
@@ -51,7 +51,7 @@ def _score_array(edges: np.ndarray, features: np.ndarray, metric: str) -> np.nda
     raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
 
 
-def edge_scores(g: SparseGraph, features: np.ndarray, metric: str) -> dict[Edge, float]:
+def edge_scores(g: SparseGraph, features: np.ndarray, metric: str) -> dict[tuple[int, int], float]:
     """Similarity score for every stored (undirected) edge, equal to
     feature_similarity on its two rows."""
     edges = g.edge_array()
@@ -122,7 +122,7 @@ def random_perturb_views(base: SparseGraph, ratio: float, m: int, seed: int) -> 
         raise ValueError(
             f"cannot remove and add {count} edges on a graph with {len(edges)} edges"
         )
-    present = base.edge_set()
+    present = set(edge_keys(edges, n).tolist())
     views = []
     for _ in range(m):
         kept = np.ones(len(edges), dtype=bool)
@@ -132,6 +132,5 @@ def random_perturb_views(base: SparseGraph, ratio: float, m: int, seed: int) -> 
         taken = set(present)
         for _ in range(count):
             taken.add(sample_nonedge(rng, n, taken))
-        new_edges = taken - present
-        views.append(SparseGraph.from_edges(n, np.concatenate((edges[kept], as_edge_array(new_edges)))))
+        views.append(SparseGraph.from_edges(n, np.concatenate((edges[kept], key_edges(taken - present, n)))))
     return ViewBundle(base=base, views=views)

@@ -14,6 +14,7 @@ from robustgsl.attack import (
 )
 from robustgsl.data_io import SbmSpec, generate_sbm
 from robustgsl.graph import SparseGraph, as_edge_array
+from robustgsl.preprocess import random_perturb_views
 
 
 class TestRandomAttack:
@@ -131,6 +132,39 @@ class TestDrawSequences:
         assert (len(record.added), len(record.removed)) == (171, 157)
         assert _digest(record.added) == "a7f176eaf34c7d528010a46b3d312bda12d23bc6ffad25c61374112dd6b0846c"
         assert _digest(record.removed) == "72b2c1e4cdd646e78b797f9f67b262c01b6043b548cea5dd4c46f7bc2c8a90bc"
+
+
+class TestExhaustedPoolDraws:
+    """Pinned outputs on small dense graphs, where additions exhaust
+    ``sample_nonedge``'s rejection loop and enumerate the pool (1,069 times
+    in this sweep), and draw loops run out of pairs. A digest changes only
+    when an attack or a random view consumes its draws differently."""
+
+    @pytest.mark.filterwarnings("ignore:dice pools exhausted")
+    def test_small_graph_sweep(self):
+        rng = np.random.default_rng(5)
+        outputs = []
+        for n in range(2, 10):
+            iu, ju = np.triu_indices(n, k=1)
+            for density in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0):
+                for seed in range(3):
+                    keep = rng.random(len(iu)) < density
+                    g = SparseGraph.from_edges(n, np.column_stack((iu[keep], ju[keep])))
+                    labels = rng.integers(0, 2, size=n)
+                    for rate in (0.2, 0.5, 1.0):
+                        for _, record in (
+                            random_attack(g, AttackBudget(rate, seed)),
+                            dice_attack(g, labels, AttackBudget(rate, seed)),
+                        ):
+                            outputs.append([record.added.tolist(), record.removed.tolist(), record.complete])
+                        try:
+                            views = random_perturb_views(g, rate, 2, seed).views
+                            outputs.append([v.edge_array().tolist() for v in views])
+                        except ValueError:  # too few absent pairs to add
+                            outputs.append(None)
+        assert len(outputs) == 1296
+        digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+        assert digest == "2a84cafc777f7ec96a18d32c624d6a31d06dabd51a9df76a7322ccaad1d562e0"
 
 
 class TestApplyPerturbation:

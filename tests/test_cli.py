@@ -476,8 +476,16 @@ class TestErrorExitCodes:
             ("pipeline", "--views", "0"),
             ("embed", "--hidden", "0"),
             ("train", "--hidden", "0"),
+            ("attack", "--ptb-rate", "1.5"),
+            ("attack", "--ptb-rate", "-0.1"),
+            ("attack", "--ptb-rate", "nan"),
         ]
-        + [(command, flag, value) for command, flag in FINITE_FLAGS for value in ("nan", "inf")],
+        + [(command, flag, value) for command, flag in FINITE_FLAGS for value in ("nan", "inf")]
+        + [
+            (command, "--seed", value)
+            for command in ("attack", "preprocess", "embed", "train", "pipeline", "ablate", "sweep")
+            for value in ("-1", "1.5")
+        ],
     )
     def test_bad_hyperparameter_rejected(self, poisoned_dir, tmp_path, command, flag, value, capsys):
         argv = [command, "--in", str(poisoned_dir), flag, value]
@@ -623,6 +631,24 @@ class TestErrorExitCodes:
         assert main([command, "--in", str(broken), "--out", str(out)]) == 2
         assert f"split set train lists node {split['train'][0]} more than once" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[]", '{"train": [0.7, 1]}', '{"train": [true]}', '{"train": [[1]]}', "{"])
+    def test_malformed_split(self, clean_dir, tmp_path, text, capsys):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(clean_dir, broken)
+        (broken / "split.json").write_text(text)
+        out = tmp_path / "out"
+        assert main(["train", "--in", str(broken), "--out", str(out)]) == 2
+        assert f"error: {broken / 'split.json'}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_of_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("{not json")
+        assert main(["report", "--in", str(path)]) == 2
+        assert f"error: {path}: not valid JSON" in capsys.readouterr().err
 
     def test_corrupt_bundle_file(self, clean_dir, tmp_path, capsys):
         import shutil

@@ -61,6 +61,25 @@ class TestBundleIo:
         with pytest.raises(BundleFormatError, match=f"split set {name} lists node {split[name][0]} more"):
             load_graph_bundle(tmp_path)
 
+    @pytest.mark.parametrize("text, problem", [
+        ("[]", "expected an object"),
+        ('{"train": [0.7, 1], "val": [], "test": []}', "split set train must be"),
+        ('{"train": ["0"]}', "split set train must be"),
+        ('{"train": [true]}', "split set train must be"),
+        ('{"train": [[1]]}', "split set train must be"),
+        ('{"train": [0], "val": 1}', "split set val must be"),
+        ('{"train": [0], "test": [2.0]}', "split set test must be"),
+        ("", "not valid JSON"),
+        ('{"train": [0],', "not valid JSON"),
+    ])
+    def test_malformed_split_rejected(self, tmp_path, text, problem):
+        save_graph_bundle(toy_bundle(), tmp_path)
+        (tmp_path / "split.json").write_text(text)
+        with pytest.raises(BundleFormatError) as exc:
+            load_graph_bundle(tmp_path)
+        message = str(exc.value)
+        assert message.startswith(f"{tmp_path / 'split.json'}: ") and problem in message
+
     def test_ragged_features_rejected(self, tmp_path):
         save_graph_bundle(toy_bundle(), tmp_path)
         (tmp_path / "features.txt").write_text("3 2\n1 0\n0.5\n0 1\n")
@@ -230,6 +249,13 @@ class TestReports:
         record = {"accuracies": [0.5, 0.75], "config": {"k": 5}, "mean": 0.625}
         write_report(record, tmp_path / "r.json")
         assert read_report(tmp_path / "r.json") == record
+
+    def test_invalid_json_names_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text('{"runs": [')
+        with pytest.raises(ValueError, match="not valid JSON") as exc:
+            read_report(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_population_std(self):
         stats = summarize_runs([0.8, 0.9])

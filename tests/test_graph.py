@@ -3,7 +3,16 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_undirected_graph
-from robustgsl.graph import SparseGraph, degrees, edge_difference, renormalized_adjacency, symmetrized
+from robustgsl.graph import (
+    SparseGraph,
+    degrees,
+    edge_difference,
+    edge_keys,
+    key_edges,
+    renormalized_adjacency,
+    sample_nonedge,
+    symmetrized,
+)
 
 
 class TestSparseGraph:
@@ -168,3 +177,58 @@ class TestEdgeArrayCore:
             b = SparseGraph.from_edges(30, kept + [(0, 29)])
             diff = edge_difference(a, b)
             assert diff.tolist() == [list(e) for e in sorted(a.edge_set() - b.edge_set())]
+
+
+class _StuckRng:
+    """Draws node 0 for the first ``stuck`` calls, so a rejection loop sees
+    only self-pairs, then ``pick`` (mod the range) for every later call."""
+
+    def __init__(self, stuck, pick):
+        self.stuck, self.pick, self.calls = stuck, pick, 0
+
+    def integers(self, high):
+        self.calls += 1
+        return 0 if self.calls <= self.stuck else self.pick % high
+
+
+class TestEdgeKeys:
+    def test_key_edges_inverts_edge_keys(self):
+        rng = np.random.default_rng(2)
+        g = random_undirected_graph(30, 0.2, rng)
+        keys = edge_keys(g.edge_array(), 30)
+        for given in (keys, rng.permutation(keys).tolist(), set(keys.tolist())):
+            arr = key_edges(given, 30)
+            assert arr.dtype == np.int64 and arr.tobytes() == g.edge_array().tobytes()
+        assert key_edges(set(), 30).shape == (0, 2)
+
+    def test_sample_nonedge_returns_an_absent_key(self):
+        rng = np.random.default_rng(0)
+        n = 12
+        labels = rng.integers(0, 3, size=n)
+        forbidden = set(edge_keys(random_undirected_graph(n, 0.5, rng).edge_array(), n).tolist())
+        for lab in (None, labels):
+            for _ in range(50):
+                u, v = divmod(sample_nonedge(rng, n, forbidden, lab), n)
+                assert u < v and u * n + v not in forbidden
+                assert lab is None or lab[u] != lab[v]
+
+    def test_exhausted_loop_picks_from_enumerated_pool(self):
+        # Once its 50 n draws are rejected, the pick indexes the eligible keys
+        # in the order of a loop over i < j, the order the tuple lists had.
+        rng = np.random.default_rng(1)
+        for n in range(2, 8):
+            for density in (0.3, 0.6, 1.0):
+                forbidden = set(edge_keys(random_undirected_graph(n, density, rng).edge_array(), n).tolist())
+                labels = rng.integers(0, 2, size=n)
+                for lab in (None, labels):
+                    pool = [
+                        i * n + j
+                        for i in range(n)
+                        for j in range(i + 1, n)
+                        if i * n + j not in forbidden and (lab is None or lab[i] != lab[j])
+                    ]
+                    for pick in range(len(pool) + 2):
+                        rng_stub = _StuckRng(100 * n, pick)
+                        got = sample_nonedge(rng_stub, n, forbidden, lab)
+                        assert got == (pool[pick % len(pool)] if pool else None)
+                        assert rng_stub.calls == 100 * n + bool(pool)
