@@ -16,13 +16,13 @@ import numpy as np
 from .attack import AttackBudget, dice_attack, random_attack
 from .classifier import train_classifier
 from .data_io import (
-    BundleFormatError,
     GraphBundle,
     SbmSpec,
     generate_sbm,
     load_edges,
     load_features,
     load_graph_bundle,
+    read_json,
     read_report,
     save_edges,
     save_features,
@@ -48,10 +48,6 @@ from .refine import removal_report
 from .classifier import predict  # noqa: F401
 from .preprocess import identical_views, make_views, random_perturb_views, rough_preprocess  # noqa: F401
 from .refine import prune_edges, topk_insert  # noqa: F401
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _checked(cast, ok, requirement):
@@ -117,9 +113,8 @@ FIELD_RULES = {
 def _load_config(path: str | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
+    raw = read_json(path)
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
         # A file's value is parsed as the flag's text would be, so 1.5 is no integer.
         for key, rule in FIELD_RULES.items():
             section, _, name = key.rpartition(".")
@@ -128,9 +123,9 @@ def _load_config(path: str | None) -> PipelineConfig:
                 fields[name] = rule(str(fields[name]))
         return PipelineConfig.from_dict(raw)
     except argparse.ArgumentTypeError as exc:
-        raise ConfigError(f"config {path}: {key} {exc}") from exc
-    except (OSError, json.JSONDecodeError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"cannot load config {path}: {exc}") from exc
+        raise ValueError(f"config {path}: {key} {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"cannot load config {path}: {exc}") from exc
 
 
 def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
@@ -215,7 +210,7 @@ def _load_view_bundle(pre: Path, n: int) -> ViewBundle:
     while (pre / f"view_{len(views)}.tsv").exists():
         views.append(load_edges(pre / f"view_{len(views)}.tsv", n))
     if not views:
-        raise ConfigError(f"no view_*.tsv files in {pre}")
+        raise ValueError(f"no view_*.tsv files in {pre}")
     return ViewBundle(base=base, views=views)
 
 
@@ -248,7 +243,7 @@ def cmd_refine(args) -> int:
     z_path = _preactivation_path(args.embeddings)
     z = load_features(z_path)
     if z.shape[0] != n:
-        raise ConfigError(f"{z_path}: {z.shape[0]} rows, but the graph has {n} nodes")
+        raise ValueError(f"{z_path}: {z.shape[0]} rows, but the graph has {n} nodes")
     if args.clean:
         # The audit needs the clean graph, on the poisoned bundle's nodes, and
         # the edges that preprocess removed. Both are read before any output.
@@ -277,7 +272,7 @@ def cmd_train(args) -> int:
     if args.embeddings:
         h0 = load_features(args.embeddings)
         if h0.shape[0] != n:
-            raise ConfigError(f"{args.embeddings}: {h0.shape[0]} rows, but the graph has {n} nodes")
+            raise ValueError(f"{args.embeddings}: {h0.shape[0]} rows, but the graph has {n} nodes")
     config = _apply_overrides(PipelineConfig(), args)
     model, test_acc = train_classifier(
         graph,
@@ -337,7 +332,7 @@ def cmd_sweep(args) -> int:
     try:
         values = [parse(v) for v in args.values.split(",")]
     except argparse.ArgumentTypeError as exc:
-        raise ConfigError(f"--values for --param {args.param}: {exc}") from exc
+        raise ValueError(f"--values for --param {args.param}: {exc}") from exc
     bundle = load_graph_bundle(args.in_dir)
     config = _apply_overrides(_load_config(args.config), args)
     seeds = _seed_list(args)
@@ -475,7 +470,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, BundleFormatError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

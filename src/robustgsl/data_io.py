@@ -7,7 +7,6 @@ import json
 import math
 import warnings
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from .linalg import make_rng
 
 
 class BundleFormatError(ValueError):
-    """A bundle file is missing, malformed, or internally inconsistent."""
+    """An input file is missing, unreadable, malformed, or internally inconsistent."""
 
 
 @dataclass
@@ -58,33 +57,27 @@ class GraphBundle:
     split: DataSplit
 
 
-# A check names what is wrong with one line's fields, or returns None.
-LineCheck = Callable[[str, list[str]], str | None]
-
-
-def _line_error(path: Path, check: LineCheck, comments: bool, start: int) -> BundleFormatError:
-    """The error for the first line of path, from line ``start`` on, that
-    ``check`` rejects. It runs only after a bulk parse or check has failed."""
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            if lineno < start:
-                continue
-            line = (line.split("#", 1)[0] if comments else line).strip()
-            problem = check(line, line.split()) if line else None
-            if problem:
-                return BundleFormatError(f"{path}:{lineno}: {problem}")
-    return BundleFormatError(f"{path}: a value is not a plain decimal number")
+def _open(path: Path, errors: str = "strict"):
+    """path opened as text; a path that cannot be opened raises
+    BundleFormatError naming it."""
+    try:
+        return path.open(errors=errors)
+    except FileNotFoundError:
+        raise BundleFormatError(f"missing file: {path}") from None
+    except OSError as exc:
+        raise BundleFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _read_table(
-    path: Path, dtype, columns: int, check: LineCheck, comments: bool = True, start: int = 1
+    path: Path, dtype, columns: int, lowest=(), num_nodes: int = 0, comments: bool = True, start: int = 1
 ) -> np.ndarray:
     """The whitespace-separated numbers of path from line ``start`` on, as a
     (rows, columns) array parsed by numpy's C reader; blank lines are skipped,
-    and so is everything after a ``#`` when ``comments`` is set."""
-    if not path.exists():
-        raise BundleFormatError(f"missing file: {path}")
-    with path.open() as fh:
+    and so is everything after a ``#`` when ``comments`` is set. Every value
+    must be finite, and each leading column j < len(lowest) must hold values
+    in [lowest[j], num_nodes). Bytes that are not UTF-8 read as U+FFFD, so
+    that the line holding them is the one named."""
+    with _open(path, errors="replace") as fh:
         for _ in range(start - 1):
             fh.readline()
         try:
@@ -95,40 +88,55 @@ def _read_table(
             table = None
     if table is not None and table.size == 0:
         return np.empty((0, columns), dtype=dtype)
-    if table is None or table.shape[1] != columns:
-        raise _line_error(path, check, comments, start)
-    return table
+    if table is not None and table.shape[1] == columns and np.isfinite(table).all():
+        ranged = table[:, : len(lowest)]
+        if not ((ranged < np.array(lowest, dtype=dtype)) | (ranged >= num_nodes)).any():
+            return table
+    raise _line_error(path, dtype, columns, lowest, num_nodes, comments, start)
 
 
-def _read_edge_array(path: Path, num_nodes: int) -> np.ndarray:
-    def check(line, fields):
-        if len(fields) != 2:
-            return f"expected 'u<TAB>v', got {line!r}"
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            return f"non-integer node id in {line!r}"
-        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-            return f"node id out of range in {line!r}"
+def _line_error(path: Path, dtype, columns, lowest, num_nodes, comments, start) -> BundleFormatError:
+    """The error for the first line of path, from line ``start`` on, that
+    breaks a rule of _read_table. It runs only after the bulk parse or a bulk
+    check has failed."""
+    cast = int if np.issubdtype(dtype, np.integer) else float
+    with _open(path, errors="replace") as fh:
+        for lineno, line in enumerate(fh, 1):
+            fields = (line.split("#", 1)[0] if comments else line).split()
+            problem = _field_problem(fields, cast, columns, lowest, num_nodes) if lineno >= start else None
+            if problem:
+                return BundleFormatError(f"{path}:{lineno}: {problem}")
+    return BundleFormatError(f"{path}: a value is not a plain decimal number")
+
+
+def _field_problem(fields, cast, columns, lowest, num_nodes) -> str | None:
+    """The rule of _read_table that one line's fields break, or None."""
+    if not fields:  # a blank or comment line
         return None
-
-    edges = _read_table(path, np.int64, 2, check)
-    if ((edges < 0) | (edges >= num_nodes)).any():
-        raise _line_error(path, check, True, 1)
-    return edges
+    if len(fields) != columns:
+        return f"expected {columns} fields, got {len(fields)}"
+    for j, field in enumerate(fields):
+        try:
+            value = cast(field)
+        except ValueError:
+            return f"{field!r} is not {'an integer' if cast is int else 'a number'}"
+        if not math.isfinite(value):
+            return f"{field!r} is not finite"
+        if j < len(lowest) and not lowest[j] <= value < num_nodes:
+            return f"{field!r} is outside [{lowest[j]}, {num_nodes})"
+    return None
 
 
 def load_edges(path, num_nodes: int, directed: bool = False) -> SparseGraph:
     """Read an edge list file into a graph; reversed duplicates collapse."""
-    return SparseGraph.from_edges(num_nodes, _read_edge_array(Path(path), num_nodes), directed=directed)
+    edges = _read_table(Path(path), np.int64, 2, (0, 0), num_nodes)
+    return SparseGraph.from_edges(num_nodes, edges, directed=directed)
 
 
 def load_features(path) -> np.ndarray:
     """Read a dense matrix file: header 'N d' then N rows of d reals."""
     path = Path(path)
-    if not path.exists():
-        raise BundleFormatError(f"missing file: {path}")
-    with path.open() as fh:
+    with _open(path, errors="replace") as fh:
         header = fh.readline().strip()
     try:
         n, dim = (int(f) for f in header.split())
@@ -136,57 +144,31 @@ def load_features(path) -> np.ndarray:
         raise BundleFormatError(f"{path}:1: expected header 'N d', got {header!r}") from None
     if n < 0 or dim < 0:
         raise BundleFormatError(f"{path}:1: expected header 'N d', got {header!r}")
-
-    def check(line, fields):
-        if len(fields) != dim:
-            return f"expected {dim} values, got {len(fields)}"
-        try:
-            values = [float(f) for f in fields]
-        except ValueError:
-            return f"non-numeric value in {line!r}"
-        if not all(math.isfinite(v) for v in values):
-            return "non-finite value (NaN or inf)"
-        return None
-
-    x = _read_table(path, float, dim, check, comments=False, start=2)
+    x = _read_table(path, float, dim, comments=False, start=2)
     if len(x) != n:
         raise BundleFormatError(f"{path}: header says {n} rows, found {len(x)}")
-    if not np.isfinite(x).all():
-        raise _line_error(path, check, False, 2)
     return x
 
 
 def _read_labels(path: Path, n: int) -> np.ndarray:
     """Label per node, -1 where the file lists none; a node listed twice
-    keeps its last label."""
-
-    def check(line, fields):
-        if len(fields) != 2:
-            return f"expected 'node<TAB>label', got {line!r}"
-        try:
-            node, _ = int(fields[0]), int(fields[1])
-        except ValueError:
-            return f"non-integer value in {line!r}"
-        if not (0 <= node < n):
-            return f"node id {node} out of range"
-        return None
-
-    nodes, labs = _read_table(path, np.int64, 2, check).T
-    if ((nodes < 0) | (nodes >= n)).any():
-        raise _line_error(path, check, True, 1)
+    keeps its last label. A label is -1 (unlabelled) or in [0, n)."""
+    nodes, labs = _read_table(path, np.int64, 2, (0, -1), n).T
     last = len(nodes) - 1 - np.unique(nodes[::-1], return_index=True)[1]
     labels = np.full(n, -1, dtype=np.int64)
     labels[nodes[last]] = labs[last]
     return labels
 
 
-def _read_json(path: Path, error=ValueError):
-    """The JSON value in path; text that does not parse raises error naming path."""
-    with path.open() as fh:
+def read_json(path):
+    """The JSON value in path; a path that cannot be read, or text that does
+    not parse, raises BundleFormatError naming path."""
+    path = Path(path)
+    with _open(path) as fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # a JSON syntax error, or bytes that are not text
-            raise error(f"{path}: not valid JSON: {exc}") from None
+            raise BundleFormatError(f"{path}: not valid JSON: {exc}") from None
 
 
 def load_graph_bundle(dir_path) -> GraphBundle:
@@ -200,9 +182,7 @@ def load_graph_bundle(dir_path) -> GraphBundle:
     graph = load_edges(d / "edges.tsv", n)
 
     split_path = d / "split.json"
-    if not split_path.exists():
-        raise BundleFormatError(f"missing file: {split_path}")
-    raw = _read_json(split_path, BundleFormatError)
+    raw = read_json(split_path)
     if not isinstance(raw, dict):
         raise BundleFormatError(f"{split_path}: expected an object with train, val and test lists")
     sets = {name: raw.get(name, []) for name in ("train", "val", "test")}  # an absent set is empty
@@ -347,4 +327,4 @@ def write_report(record: dict, path) -> None:
 
 
 def read_report(path) -> dict:
-    return _read_json(Path(path))
+    return read_json(path)

@@ -576,7 +576,7 @@ class TestErrorExitCodes:
         config = read_report(out / "report.json")["config"]
         assert (config["k"], config["beta"], config["encoder"]["epochs"]) == (3, 0.0, 2)
 
-    @pytest.mark.parametrize("damage", ["missing", "malformed"])
+    @pytest.mark.parametrize("damage", ["missing", "malformed", "directory"])
     def test_refine_clean_edges_checked(self, clean_dir, poisoned_dir, tmp_path, damage, capsys):
         import shutil
 
@@ -588,10 +588,12 @@ class TestErrorExitCodes:
         clean = tmp_path / "clean"
         shutil.copytree(clean_dir, clean)
         edges = clean / "edges.tsv"
-        if damage == "missing":
-            edges.unlink()
-        else:
+        if damage == "malformed":
             edges.write_text("0\t1\n2\tx\n")
+        else:
+            edges.unlink()
+            if damage == "directory":
+                edges.mkdir()
         capsys.readouterr()
         argv = ["refine", "--in", str(poisoned_dir), "--pre", str(pre), "--embeddings",
                 str(tmp_path / "emb.txt"), "--clean", str(clean), "--out", str(tmp_path / "refined")]
@@ -643,6 +645,24 @@ class TestErrorExitCodes:
         assert main(["train", "--in", str(broken), "--out", str(out)]) == 2
         assert f"error: {broken / 'split.json'}: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, culprit",
+        [
+            (["train", "--in", "{bundle}", "--graph", "{dir}"], "{dir}"),
+            (["train", "--in", "{bundle}", "--embeddings", "{dir}"], "{dir}"),
+            (["report", "--in", "{dir}"], "{dir}"),
+            (["synth", "--nodes", "6", "--out", "{file}/sub"], "{file}/sub"),
+        ],
+        ids=["train-graph-dir", "train-embeddings-dir", "report-dir", "synth-out-under-file"],
+    )
+    def test_unreadable_path(self, poisoned_dir, tmp_path, argv, culprit, capsys):
+        # A path that is a directory, or lies under a file, exits 2 and names the path.
+        (tmp_path / "file").write_text("")
+        paths = {"bundle": poisoned_dir, "dir": tmp_path / "dir", "file": tmp_path / "file"}
+        paths["dir"].mkdir()
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert culprit.format(**paths) in capsys.readouterr().err
 
     def test_report_of_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "report.json"

@@ -104,6 +104,14 @@ class TestBundleIo:
         with pytest.raises(BundleFormatError, match="missing file"):
             load_graph_bundle(tmp_path)
 
+    def test_unreadable_file_rejected(self, tmp_path):
+        save_graph_bundle(toy_bundle(), tmp_path)
+        (tmp_path / "edges.tsv").unlink()
+        (tmp_path / "edges.tsv").mkdir()
+        with pytest.raises(BundleFormatError) as exc:
+            load_graph_bundle(tmp_path)
+        assert str(exc.value).startswith(f"cannot read {tmp_path / 'edges.tsv'}: ")
+
     def test_out_of_range_edge_rejected(self, tmp_path):
         save_graph_bundle(toy_bundle(), tmp_path)
         (tmp_path / "edges.tsv").write_text("0\t7\n")
@@ -119,13 +127,24 @@ class TestBundleIo:
             ("edges.tsv", "# header\n0\t1\n1\t2\t3\n", "edges.tsv:3"),
             ("edges.tsv", "0\t1\n1\t2.0\n", "edges.tsv:2"),
             ("labels.tsv", "0\t0\n\n5\t1\n", "labels.tsv:3"),
+            ("labels.tsv", "0\t0\n1\t1\n2\t200000\n", "labels.tsv:3"),
         ],
         ids=["label-not-int", "header-not-int", "feature-not-number", "edge-three-fields",
-             "edge-float-id", "label-node-out-of-range"],
+             "edge-float-id", "label-node-out-of-range", "label-out-of-range"],
     )
     def test_malformed_line_named(self, tmp_path, name, text, where):
         save_graph_bundle(toy_bundle(), tmp_path)
         (tmp_path / name).write_text(text)
+        with pytest.raises(BundleFormatError, match=where):
+            load_graph_bundle(tmp_path)
+
+    @pytest.mark.parametrize("name, data, where", [
+        ("edges.tsv", b"0\t1\n\xff\t2\n", "edges.tsv:2"),
+        ("features.txt", b"3 2\n1 0\n0.5 0.25\n0 \xfe\n", "features.txt:4"),
+    ])
+    def test_undecodable_bytes_named(self, tmp_path, name, data, where):
+        save_graph_bundle(toy_bundle(), tmp_path)
+        (tmp_path / name).write_bytes(data)
         with pytest.raises(BundleFormatError, match=where):
             load_graph_bundle(tmp_path)
 
