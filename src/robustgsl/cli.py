@@ -68,6 +68,7 @@ def _checked(cast, ok, requirement):
 
 
 _at_least_one = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_at_least_two = _checked(int, lambda v: v >= 2, "an integer >= 2")
 _non_negative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
@@ -372,13 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
         config_flag(p, "--aug", "augmentation")
 
     p = sub.add_parser("synth", help="generate a synthetic SBM bundle")
-    p.add_argument("--nodes", type=int, default=300)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--p-in", dest="p_in", type=float, default=0.1)
-    p.add_argument("--p-out", dest="p_out", type=float, default=0.005)
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--on-bits", dest="on_bits", type=int, default=10)
-    p.add_argument("--noise", type=float, default=0.01)
+    # Each flag is checked alone here; SbmSpec.validate checks how they combine.
+    p.add_argument("--nodes", type=_at_least_one, default=300)
+    p.add_argument("--classes", type=_at_least_two, default=3)
+    p.add_argument("--p-in", dest="p_in", type=_probability, default=0.1)
+    p.add_argument("--p-out", dest="p_out", type=_probability, default=0.005)
+    p.add_argument("--dim", type=_at_least_one, default=100)
+    p.add_argument("--on-bits", dest="on_bits", type=_non_negative_int, default=10)
+    p.add_argument("--noise", type=_probability, default=0.01)
     common(p)
     p.set_defaults(func=cmd_synth, out="sbm")
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import SparseGraph
+from .graph import SparseGraph, pair_at, pair_blocks
 from .linalg import make_rng
 
 
@@ -281,14 +281,21 @@ def generate_sbm(spec: SbmSpec) -> GraphBundle:
 
     # Contiguous blocks; sizes differ by at most 1.
     base, extra = divmod(n, k)
-    labels = np.concatenate(
-        [np.full(base + (1 if c < extra else 0), c, dtype=np.int64) for c in range(k)]
-    )
+    sizes = base + (np.arange(k) < extra)
+    labels = np.repeat(np.arange(k, dtype=np.int64), sizes)
+    class_end = np.repeat(np.cumsum(sizes), sizes)  # one past the last node of each node's class
 
-    iu, ju = np.triu_indices(n, k=1)
-    probs = np.where(labels[iu] == labels[ju], spec.p_in, spec.p_out)
-    mask = rng.random(len(iu)) < probs
-    graph = SparseGraph.from_edges(n, np.column_stack((iu[mask], ju[mask])))
+    # One uniform u per pair i < j, in row-major order, drawn PAIR_BLOCK pairs
+    # at a time. A pair is an edge if u < p_in within a class, or if u < p_out
+    # (< p_in) across classes.
+    edges = []
+    for lo, hi in pair_blocks(n):
+        u = rng.random(hi - lo)
+        candidates = np.flatnonzero(u < spec.p_in)
+        i, j = pair_at(lo + candidates, n)
+        keep = (j < class_end[i]) | (u[candidates] < spec.p_out)
+        edges.append(np.column_stack((i[keep], j[keep])))
+    graph = SparseGraph.from_edges(n, np.concatenate(edges))
 
     templates = np.zeros((k, spec.feature_dim))
     for c in range(k):

@@ -97,6 +97,27 @@ def edge_difference(a: SparseGraph, b: SparseGraph) -> np.ndarray:
     return ea[np.isin(edge_keys(ea, n), edge_keys(b.edge_array(), n), invert=True)]
 
 
+# Pairs per block when a loop walks the row-major order of all pairs i < j.
+PAIR_BLOCK = 2 ** 20
+
+
+def pair_blocks(n: int):
+    """The ranges (lo, hi) that split the row-major positions of the
+    n(n - 1)/2 pairs i < j into consecutive blocks of PAIR_BLOCK."""
+    total = n * (n - 1) // 2
+    for lo in range(0, total, PAIR_BLOCK):
+        yield lo, min(lo + PAIR_BLOCK, total)
+
+
+def pair_at(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), i < j, at the positions flat of the row-major order
+    of all such pairs of n nodes, as two int64 arrays."""
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2  # position of row i's first pair (i, i + 1)
+    i = np.searchsorted(starts, flat, side="right") - 1
+    return i, flat - starts[i] + i + 1
+
+
 def sample_nonedge(rng: np.random.Generator, n: int, forbidden: set, labels=None) -> int | None:
     """Uniform rejection sampling of an absent unordered pair, as its key
     u * n + v with u < v; forbidden holds the keys that may not be drawn.
@@ -117,12 +138,16 @@ def sample_nonedge(rng: np.random.Generator, n: int, forbidden: set, labels=None
             continue
         return key
     # Slow path: enumerate to tell "unlucky" from "exhausted", in the (i, j) order of a loop over i < j.
-    i, j = np.triu_indices(n, k=1)
-    keys = i * n + j
-    keep = np.isin(keys, np.fromiter(forbidden, dtype=np.int64, count=len(forbidden)), invert=True)
-    if labels is not None:
-        keep &= labels[i] != labels[j]
-    pool = keys[keep]
+    taken = np.fromiter(forbidden, dtype=np.int64, count=len(forbidden))
+    pool = [np.empty(0, dtype=np.int64)]
+    for lo, hi in pair_blocks(n):
+        i, j = pair_at(np.arange(lo, hi, dtype=np.int64), n)
+        keys = i * n + j
+        keep = np.isin(keys, taken, invert=True)
+        if labels is not None:
+            keep &= labels[i] != labels[j]
+        pool.append(keys[keep])
+    pool = np.concatenate(pool)
     return int(pool[int(rng.integers(len(pool)))]) if len(pool) else None
 
 

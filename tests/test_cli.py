@@ -389,12 +389,17 @@ class TestErrorExitCodes:
         assert main(["pipeline", "--in", str(tmp_path / "nope")]) == 2
 
     @pytest.mark.parametrize(
-        "flags, field", [(["--on-bits", "-1"], "on_bits"), (["--dim", "0", "--on-bits", "0"], "feature_dim")]
+        "flags, message",
+        [
+            (["--dim", "5", "--on-bits", "6"], "on_bits cannot exceed feature_dim"),
+            (["--nodes", "2", "--classes", "3"], "need at least 2 classes and one node per class"),
+            (["--p-in", "0.1", "--p-out", "0.1"], "need 0 <= p_out < p_in <= 1"),
+        ],
     )
-    def test_synth_feature_shape_checked(self, tmp_path, flags, field, capsys):
+    def test_synth_cross_field_rules_checked(self, tmp_path, flags, message, capsys):
         out = tmp_path / "sbm"
         assert main(["synth", "--nodes", "6", *flags, "--out", str(out)]) == 2
-        assert f"{field} must be >= " in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_config_file(self, poisoned_dir, tmp_path):
@@ -496,6 +501,31 @@ class TestErrorExitCodes:
         assert exc.value.code == 2
         assert f"argument {flag}: must be" in capsys.readouterr().err
         assert not (tmp_path / "emb.txt").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--nodes", "0"),
+            ("--nodes", "-5"),
+            ("--nodes", "1.5"),
+            ("--classes", "1"),
+            ("--dim", "0"),
+            ("--on-bits", "-1"),
+            ("--p-in", "1.5"),
+            ("--p-in", "nan"),
+            ("--p-out", "-0.1"),
+            ("--noise", "2"),
+            ("--noise", "nan"),
+            ("--seed", "-1"),
+        ],
+    )
+    def test_bad_synth_flag_rejected(self, tmp_path, flag, value, capsys):
+        out = tmp_path / "sbm"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "param, values", [("k", "1,-1"), ("k", "1,1.5"), ("t2", "0.1,nan"), ("t1", "0.1,inf"), ("alpha", "0.1,x")]

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from robustgsl.data_io import (
     write_report,
 )
 from robustgsl.graph import SparseGraph
+from robustgsl.linalg import make_rng
 
 
 def toy_bundle():
@@ -257,6 +260,91 @@ class TestSbm:
         assert len(bundle.split.train) == 30
         assert len(bundle.split.val) == 30
         assert len(bundle.split.test) == 240
+
+
+# Small specs over every edge case of the class layout and the probabilities:
+# n == k, n % k != 0, p_in = 1 and p_out = 0.
+SMALL_SPECS = [
+    SbmSpec(n, k, p_in, p_out, 4 + 5 * seed, 1 + seed, 0.2 * seed, seed)
+    for n, k in ((2, 2), (3, 3), (5, 5), (7, 3), (10, 4), (31, 3), (64, 2), (100, 7))
+    for p_in, p_out in ((1.0, 0.0), (0.5, 0.1), (0.1, 0.005))
+    for seed in (0, 1)
+]
+
+
+def _bundle_arrays(bundle):
+    adj = bundle.graph.adj
+    return [adj.indptr, adj.indices, adj.data, bundle.features, bundle.labels]
+
+
+def _sbm_digest(specs) -> str:
+    """SHA-256 over each spec's CSR arrays, features, labels (with dtypes) and split."""
+    h = hashlib.sha256()
+    for spec in specs:
+        bundle = generate_sbm(spec)
+        for a in _bundle_arrays(bundle):
+            h.update(a.dtype.str.encode() + a.tobytes())
+        h.update(json.dumps([bundle.split.train, bundle.split.val, bundle.split.test]).encode())
+    return h.hexdigest()
+
+
+def _all_pairs_edges(spec, labels):
+    """The edges of one uniform per pair i < j drawn in a single call over
+    np.triu_indices: the draw that generate_sbm streams in blocks."""
+    iu, ju = np.triu_indices(spec.num_nodes, k=1)
+    same = labels[iu] == labels[ju]
+    mask = make_rng(spec.seed).random(len(iu)) < np.where(same, spec.p_in, spec.p_out)
+    return np.column_stack((iu[mask], ju[mask]))
+
+
+class TestSbmDraws:
+    """generate_sbm's outputs, pinned by digests taken before its pair draws
+    were streamed in blocks. A digest changes only if the generator consumes
+    its draws differently."""
+
+    def test_small_specs_pinned(self):
+        assert len(SMALL_SPECS) == 48
+        assert _sbm_digest(SMALL_SPECS) == "d133218de44c0565bc77490d88595da67d208ce8552287e61a61c21121853319"
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (
+                SbmSpec(300, 3, 0.1, 0.005, 100, 10, 0.01, seed=1),
+                "191c365e0bcb412c991f9b962621970371dc2cb3b63bca6cdf8389868786e42c",
+            ),
+            (
+                SbmSpec(3000, 3, 0.01, 0.0005, 100, 10, 0.01, seed=1),
+                "bfc638b48f73696eb039041e55fafde377f30e516f2f2e44f8418bf11d3aeb9d",
+            ),
+        ],
+        ids=["battery", "n3000"],
+    )
+    def test_benchmark_specs_pinned(self, spec, digest):
+        assert _sbm_digest([spec]) == digest
+
+    @pytest.mark.parametrize("block", [1, 7, 99])  # 99 divides the 4950 pairs of 100 nodes
+    def test_block_boundaries(self, monkeypatch, block):
+        specs = [s for s in SMALL_SPECS if s.num_nodes == 100 and s.seed == 0]
+        default = [generate_sbm(spec) for spec in specs]
+        monkeypatch.setattr("robustgsl.graph.PAIR_BLOCK", block)
+        for spec, want in zip(specs, default):
+            got = generate_sbm(spec)
+            for a, b in zip(_bundle_arrays(got), _bundle_arrays(want)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert got.split == want.split
+            np.testing.assert_array_equal(got.graph.edge_array(), _all_pairs_edges(spec, want.labels))
+
+    def test_memory_stays_below_the_pair_count(self):
+        # Holding all n(n - 1)/2 pairs at n = 3000 peaked near 145 MB; streamed
+        # blocks need one 8 MB block of draws plus the outputs.
+        tracemalloc.start()
+        try:
+            generate_sbm(SbmSpec(3000, 3, 0.01, 0.0005, 100, 10, 0.01, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
 
 
 class TestReports:

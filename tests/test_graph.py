@@ -9,6 +9,7 @@ from robustgsl.graph import (
     edge_difference,
     edge_keys,
     key_edges,
+    pair_at,
     renormalized_adjacency,
     sample_nonedge,
     symmetrized,
@@ -232,3 +233,28 @@ class TestEdgeKeys:
                         got = sample_nonedge(rng_stub, n, forbidden, lab)
                         assert got == (pool[pick % len(pool)] if pool else None)
                         assert rng_stub.calls == 100 * n + bool(pool)
+
+
+class TestPairOrder:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_pair_at_matches_triu_indices(self, n):
+        iu, ju = np.triu_indices(n, k=1)
+        i, j = pair_at(np.arange(len(iu), dtype=np.int64), n)
+        assert i.dtype == j.dtype == np.int64
+        np.testing.assert_array_equal(i, iu)
+        np.testing.assert_array_equal(j, ju)
+
+    @pytest.mark.parametrize("block", [1, 4, 7])
+    def test_exhausted_pool_independent_of_block(self, monkeypatch, block):
+        # The enumerated pool, and so the pick, is the same however many
+        # blocks the pairs are walked in.
+        rng = np.random.default_rng(3)
+        for n in range(2, 9):
+            forbidden = set(edge_keys(random_undirected_graph(n, 0.5, rng).edge_array(), n).tolist())
+            labels = rng.integers(0, 2, size=n)
+            for lab in (None, labels):
+                want = [sample_nonedge(_StuckRng(100 * n, pick), n, forbidden, lab) for pick in range(n * n)]
+                with monkeypatch.context() as m:
+                    m.setattr("robustgsl.graph.PAIR_BLOCK", block)
+                    got = [sample_nonedge(_StuckRng(100 * n, pick), n, forbidden, lab) for pick in range(n * n)]
+                assert got == want
