@@ -19,12 +19,14 @@ import scipy.sparse as sp
 from .graph import SparseGraph, degrees, renormalized_adjacency, symmetrized
 from .linalg import NumericError, adam_init, adam_step, glorot, make_rng, relu, spmm
 
+MODES = ("advanced", "vanilla")
+
 
 @dataclass
 class ClassifierModel:
     w1: np.ndarray
     w2: np.ndarray
-    mode: str  # "advanced" | "vanilla"
+    mode: str  # one of MODES
     alpha: float = 0.0
     beta: float = 0.0
     val_accuracy: float | None = None  # the selected model's; None without a validation split
@@ -67,7 +69,7 @@ def propagation_matrix(g: SparseGraph, mode: str, alpha: float = 0.0, beta: floa
     if mode == "vanilla":
         # The classic GCN is defined on an undirected graph.
         return renormalized_adjacency(symmetrized(g))
-    raise ValueError(f"unknown classifier mode {mode!r}")
+    raise ValueError(f"unknown classifier mode {mode!r}, expected one of {MODES}")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

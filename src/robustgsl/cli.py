@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .attack import AttackBudget, dice_attack, random_attack
-from .classifier import train_classifier
+from .classifier import MODES, train_classifier
 from .data_io import (
     GraphBundle,
     SbmSpec,
@@ -33,6 +33,7 @@ from .encoder import ACTIVATIONS, train_encoder
 from .graph import SparseGraph
 from .linalg import NumericError
 from .pipeline import (
+    AUGMENTATIONS,
     SWEEPABLE,
     VARIANTS,
     PipelineConfig,
@@ -82,9 +83,6 @@ def _one_of(choices):
     return parse
 
 
-AUGMENTATIONS = ("recovery", "random", "none")
-CLASSIFIER_MODES = ("advanced", "vanilla")
-
 # The rule of each PipelineConfig field, keyed by the field's path in a
 # --config file. Every file value and every flag that sets the field is parsed
 # with it before any run.
@@ -98,7 +96,7 @@ FIELD_RULES = {
     "alpha": _finite,
     "beta": _non_negative,
     "k": _non_negative_int,
-    "classifier_mode": _one_of(CLASSIFIER_MODES),
+    "classifier_mode": _one_of(MODES),
     "encoder.hidden": _at_least_one,
     "encoder.lr": _positive,
     "encoder.epochs": _at_least_one,

@@ -318,14 +318,6 @@ def generate_sbm(spec: SbmSpec) -> GraphBundle:
     return GraphBundle(graph=graph, features=features, labels=labels, split=split)
 
 
-def summarize_runs(accuracies) -> dict:
-    """Mean and population std over per-run accuracies."""
-    acc = np.asarray(list(accuracies), dtype=float)
-    if acc.size == 0:
-        return {"mean": None, "std": None}
-    return {"mean": float(acc.mean()), "std": float(acc.std())}
-
-
 def write_report(record: dict, path) -> None:
     """Serialize a result record as JSON with deterministic key order."""
     with _create(path).open("w") as fh:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .classifier import ClassifierConfig, train_classifier
-from .data_io import GraphBundle, summarize_runs
+from .data_io import GraphBundle
 from .encoder import EncoderConfig, train_encoder
 from .graph import SparseGraph, edge_difference
 from .linalg import make_rng
@@ -25,6 +25,8 @@ from .preprocess import (
     rough_preprocess,
 )
 from .refine import prune_edges, topk_insert
+
+AUGMENTATIONS = ("recovery", "random", "none")
 
 # Each ablation switches off one part of the pipeline through PipelineConfig
 # overrides.
@@ -44,7 +46,7 @@ class PipelineConfig:
     t1: float = 0.03
     recover_p: float = 0.2
     num_views: int = 2
-    augmentation: str = "recovery"  # recovery | random | none
+    augmentation: str = "recovery"  # one of AUGMENTATIONS
     t2: float = 0.2
     k: int = 5
     alpha: float = 0.6
@@ -95,7 +97,7 @@ def preprocess_stage(
     elif aug == "none":
         views = identical_views(base, config.num_views)
     else:
-        raise ValueError(f"unknown augmentation {aug!r}")
+        raise ValueError(f"unknown augmentation {aug!r}, expected one of {AUGMENTATIONS}")
     return base, removed, views
 
 
@@ -192,18 +194,23 @@ def run_experiment(
     seeds: list[int],
     variant: str = "full",
 ) -> dict:
-    """Multi-seed experiment record: per-seed accuracy, mean/std, stage stats."""
+    """Multi-seed experiment record: per-seed accuracy, mean/population std,
+    stage stats. Only each run's numbers are kept, not its graphs or arrays."""
     if not seeds:
         raise ValueError("need at least one seed")
     start = time.perf_counter()
-    runs = [run_variant(bundle, config, variant, s) for s in seeds]
-    acc = [r.accuracy for r in runs]
+    acc, stats = [], []
+    for s in seeds:
+        run = run_variant(bundle, config, variant, s)
+        acc.append(run.accuracy)
+        stats.append(run.stats)
     return {
         "variant": variant,
         "seeds": list(seeds),
         "accuracies": acc,
-        **summarize_runs(acc),
-        "stage_stats": [r.stats for r in runs],
+        "mean": float(np.mean(acc)),
+        "std": float(np.std(acc)),
+        "stage_stats": stats,
         "wall_time_sec": time.perf_counter() - start,
         "config": config.to_dict(),
     }
@@ -219,14 +226,13 @@ def sweep(
     values: list,
     seeds: list[int],
 ) -> list[dict]:
-    """Full pipeline per (value, seed); one summary row per value."""
+    """One full-pipeline experiment per value; one summary row per value."""
     if param not in SWEEPABLE:
         raise ValueError(f"cannot sweep {param!r}, expected one of {SWEEPABLE}")
     if not values:
         raise ValueError("sweep needs at least one value")
     rows = []
     for value in values:
-        cfg = replace(config, **{param: value})
-        acc = [run_pipeline(bundle, cfg, s).accuracy for s in seeds]
-        rows.append({"param": param, "value": value, "accuracies": acc, **summarize_runs(acc)})
+        record = run_experiment(bundle, replace(config, **{param: value}), seeds)
+        rows.append({"param": param, "value": value, **{k: record[k] for k in ("accuracies", "mean", "std")}})
     return rows

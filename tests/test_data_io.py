@@ -18,7 +18,6 @@ from robustgsl.data_io import (
     save_edges,
     save_features,
     save_graph_bundle,
-    summarize_runs,
     write_report,
 )
 from robustgsl.graph import SparseGraph
@@ -363,8 +362,3 @@ class TestReports:
         with pytest.raises(ValueError, match="not valid JSON") as exc:
             read_report(path)
         assert str(exc.value).startswith(f"{path}: ")
-
-    def test_population_std(self):
-        stats = summarize_runs([0.8, 0.9])
-        assert stats["mean"] == pytest.approx(0.85)
-        assert stats["std"] == pytest.approx(0.05)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from robustgsl.encoder import EncoderConfig
 from robustgsl.classifier import ClassifierConfig
 from robustgsl.preprocess import rough_preprocess
 from robustgsl.refine import embedding_similarity
+from robustgsl import pipeline
 from robustgsl.pipeline import (
     VARIANTS,
     PipelineConfig,
@@ -133,6 +137,23 @@ class TestBaselineAndExperiment:
         with pytest.raises(ValueError):
             run_experiment(sbm, fast_config(), seeds=[])
 
+    def test_experiment_keeps_only_numbers(self, sbm, monkeypatch):
+        # A run holds its refined graph and N x h arrays. When seed k+1 starts,
+        # no run before seed k may still be alive.
+        refs, alive_at_start = [], []
+
+        def tracked(*args):
+            gc.collect()
+            alive_at_start.append(sum(ref() is not None for ref in refs[:-1]))
+            run = run_variant(*args)
+            refs.append(weakref.ref(run))
+            return run
+
+        monkeypatch.setattr(pipeline, "run_variant", tracked)
+        record = run_experiment(sbm, fast_config(), seeds=[0, 1, 2])
+        assert alive_at_start == [0, 0, 0]
+        assert len(record["accuracies"]) == len(record["stage_stats"]) == 3
+
 
 class TestSweep:
     def test_sweep_rows(self, sbm):
@@ -157,6 +178,10 @@ class TestSweep:
     def test_empty_values(self, sbm):
         with pytest.raises(ValueError):
             sweep(sbm, fast_config(), "k", [], seeds=[0])
+
+    def test_empty_seeds(self, sbm):
+        with pytest.raises(ValueError, match="need at least one seed"):
+            sweep(sbm, fast_config(), "k", [0], seeds=[])
 
 
 class TestConfigSerialization:
