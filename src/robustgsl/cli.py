@@ -203,13 +203,16 @@ def cmd_preprocess(args) -> int:
 
 
 def _load_view_bundle(pre: Path, n: int) -> ViewBundle:
-    """The base graph and the views that `preprocess` wrote to pre."""
+    """The base graph and the num_views views that `preprocess` wrote to pre,
+    as its preprocess.json records; view files of an earlier run are not read."""
+    meta_path = pre / "preprocess.json"
+    meta = read_json(meta_path)
+    num_views = meta.get("num_views") if isinstance(meta, dict) else None
+    # type() is int: JSON true and false parse as bools, which are ints too.
+    if type(num_views) is not int or num_views < 1:
+        raise ValueError(f"{meta_path}: num_views must be an integer >= 1, got {num_views!r}")
     base = load_edges(pre / "preprocessed_edges.tsv", n)
-    views = []
-    while (pre / f"view_{len(views)}.tsv").exists():
-        views.append(load_edges(pre / f"view_{len(views)}.tsv", n))
-    if not views:
-        raise ValueError(f"no view_*.tsv files in {pre}")
+    views = [load_edges(pre / f"view_{j}.tsv", n) for j in range(num_views)]
     return ViewBundle(base=base, views=views)
 
 

@@ -22,28 +22,32 @@ def embedding_similarity(h: np.ndarray, i: int, j: int) -> float:
     return float(np.dot(h[i], h[j]) / (ni * nj))
 
 
-# Rows of the cosine matrix that topk_insert computes per product: one reused
-# _TOPK_BLOCK x n buffer (12 MB at n=3000). A graph of at most this many nodes
-# is one block, the same single product as the full matrix. The row count
-# stays fixed because, for small n, the GEMM's bits depend on it, and
-# similarity_matrix stacks blocks of the same size.
-_TOPK_BLOCK = 512
-# Rows of a block ranked at a time, so the partition copy and the boolean
-# masks of _topk_columns are _RANK_ROWS x n, not _TOPK_BLOCK x n.
-_RANK_ROWS = 64
+# Bytes of one block of cosine rows: topk_insert computes each block into one
+# reused buffer and ranks it whole, and similarity_matrix stacks the same
+# blocks. The budget is 512² cosines so that a graph of at most 512 nodes is
+# one block, the single product of the full matrix, with its bits: for small
+# n the GEMM's bits depend on the row count.
+_BLOCK_BYTES = 8 * 512 * 512
 
 
-def _similarity_block(hn: np.ndarray, lo: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The block of cosine rows from lo, given the row-normalized embeddings;
-    written into out when given."""
-    return np.matmul(hn[lo : lo + _TOPK_BLOCK], hn.T, out=out)
+def _block_rows(n: int) -> int:
+    """Rows per cosine block at n nodes: all n up to 512 nodes, else as many
+    as fit in _BLOCK_BYTES (87 at n=3000), and at least one."""
+    return max(1, min(n, _BLOCK_BYTES // (8 * max(n, 1))))
+
+
+def _similarity_block(hn: np.ndarray, lo: int, rows: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The block of cosine rows lo..lo+rows, given the row-normalized
+    embeddings; written into out when given."""
+    return np.matmul(hn[lo : lo + rows], hn.T, out=out)
 
 
 def similarity_matrix(h: np.ndarray) -> np.ndarray:
     """Full pairwise cosine matrix (zero rows give zero similarity), stacked
     from the row blocks that topk_insert ranks."""
     hn = _normalized_rows(h)
-    return np.vstack([_similarity_block(hn, lo) for lo in range(0, max(len(hn), 1), _TOPK_BLOCK)])
+    rows = _block_rows(len(hn))
+    return np.vstack([_similarity_block(hn, lo, rows) for lo in range(0, max(len(hn), 1), rows)])
 
 
 def _check_rows(g: SparseGraph, h: np.ndarray) -> None:
@@ -80,9 +84,9 @@ def topk_insert(retained: SparseGraph, h: np.ndarray, k: int) -> SparseGraph:
     """Directed union of the retained edges with each node's k most similar peers.
 
     Ties break toward the smaller candidate id. The cosines are computed in
-    blocks of rows into one reused buffer and ranked a few rows at a time, so
-    no n x n matrix is held. The result is directed: row i lists the
-    aggregation sources of node i.
+    blocks of at most _BLOCK_BYTES into one reused buffer, and each block is
+    ranked whole, so no n x n matrix is held. The result is directed: row i
+    lists the aggregation sources of node i.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -93,14 +97,14 @@ def topk_insert(retained: SparseGraph, h: np.ndarray, k: int) -> SparseGraph:
     if k > 0 and n > 1:
         hn = _normalized_rows(h)
         kk = min(k, n - 1)
-        buf = np.empty((min(n, _TOPK_BLOCK), n))
-        for lo in range(0, n, _TOPK_BLOCK):
-            sim = _similarity_block(hn, lo, buf[: min(_TOPK_BLOCK, n - lo)])
-            rows = np.arange(sim.shape[0])
-            sim[rows, lo + rows] = -np.inf
-            for c in range(0, sim.shape[0], _RANK_ROWS):
-                src, dst = _topk_columns(sim[c : c + _RANK_ROWS], kk)
-                edges.append(np.column_stack((src + lo + c, dst)))
+        rows = _block_rows(n)
+        buf = np.empty((rows, n))
+        for lo in range(0, n, rows):
+            sim = _similarity_block(hn, lo, rows, buf[: min(rows, n - lo)])
+            diag = np.arange(sim.shape[0])
+            sim[diag, lo + diag] = -np.inf
+            src, dst = _topk_columns(sim, kk)
+            edges.append(np.column_stack((src + lo, dst)))
     return SparseGraph.from_edges(n, np.concatenate(edges), directed=True)
 
 

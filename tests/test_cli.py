@@ -346,6 +346,19 @@ class TestStageConfig:
         _, _, config, seed = calls["train_encoder"]
         assert (config, seed) == (dataclasses.replace(self.DEFAULTS.encoder, **changes), 0)
 
+    def test_embed_reads_recorded_view_count(self, poisoned_dir, tmp_path, monkeypatch):
+        # A second preprocess with fewer views into the same directory leaves
+        # view_2.tsv behind; embed trains on the two views preprocess.json records.
+        pre = tmp_path / "pre"
+        for views in ("3", "2"):
+            assert main(["preprocess", "--in", str(poisoned_dir), "--views", views, "--out", str(pre)]) == 0
+        assert (pre / "view_2.tsv").exists()
+        calls = {}
+        monkeypatch.setattr("robustgsl.cli.train_encoder", _recorder(calls, "train_encoder"))
+        with pytest.raises(_Stop):
+            main(["embed", "--in", str(poisoned_dir), "--pre", str(pre), "--out", str(tmp_path / "e.txt")])
+        assert len(calls["train_encoder"][0].views) == 2
+
     @pytest.mark.parametrize("flags, t2, k", [([], DEFAULTS.t2, DEFAULTS.k), (["--t2", "0.5", "--k", "2"], 0.5, 2)])
     def test_refine(self, stage_inputs, tmp_path, flags, t2, k, monkeypatch):
         calls = {}
@@ -649,6 +662,41 @@ class TestErrorExitCodes:
         assert main(argv) == 2
         assert f"missing file: {pre / 'removed_edges.tsv'}" in capsys.readouterr().err
         assert not (tmp_path / "refined").exists()
+
+    @pytest.mark.parametrize(
+        "damage, culprit",
+        [
+            ("no record", "preprocess.json"),
+            ("bad JSON", "preprocess.json"),
+            ("no num_views", "preprocess.json"),
+            ("num_views 1.5", "preprocess.json"),
+            ("num_views true", "preprocess.json"),
+            ("num_views 0", "preprocess.json"),
+            ("no view_1.tsv", "view_1.tsv"),
+        ],
+    )
+    def test_embed_view_record_checked(self, poisoned_dir, tmp_path, damage, culprit, capsys):
+        pre = tmp_path / "pre"
+        assert main(["preprocess", "--in", str(poisoned_dir), "--out", str(pre)]) == 0
+        meta = pre / "preprocess.json"
+        record = json.loads(meta.read_text())
+        if damage == "no record":
+            meta.unlink()
+        elif damage == "bad JSON":
+            meta.write_text("{")
+        elif damage == "no num_views":
+            del record["num_views"]
+        elif damage.startswith("num_views"):
+            record["num_views"] = json.loads(damage.split()[1])
+        else:
+            (pre / "view_1.tsv").unlink()
+        if meta.exists() and damage != "bad JSON":
+            meta.write_text(json.dumps(record))
+        capsys.readouterr()
+        out = tmp_path / "emb" / "emb.txt"
+        assert main(["embed", "--in", str(poisoned_dir), "--pre", str(pre), "--epochs", "2", "--out", str(out)]) == 2
+        assert str(pre / culprit) in capsys.readouterr().err
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("command", ["train", "pipeline"])
     def test_repeated_split_node(self, clean_dir, tmp_path, command, capsys):

@@ -7,7 +7,8 @@ from conftest import random_undirected_graph
 from robustgsl.graph import SparseGraph
 from robustgsl.linalg import EDGE_BLOCK, edge_cosines, make_rng
 from robustgsl.refine import (
-    _TOPK_BLOCK,
+    _BLOCK_BYTES,
+    _block_rows,
     _normalized_rows,
     _topk_columns,
     embedding_similarity,
@@ -18,21 +19,25 @@ from robustgsl.refine import (
 )
 
 
-def _reference_topk_insert(retained, h, k):
-    """topk_insert as it was before its blocks shared one buffer and were
-    ranked in chunks: each 512-row block is a fresh product, ranked whole."""
+def _reference_topk_insert(retained, h, k, rows=None, rank_rows=None):
+    """topk_insert without its reused buffer: each block of rows (default
+    _block_rows(n)) is a fresh product, ranked whole or, given rank_rows, in
+    chunks of that many rows."""
     n = retained.num_nodes
     kept = retained.edge_array()
     edges = [kept, kept[:, ::-1]]
     if k > 0 and n > 1:
         hn = _normalized_rows(h)
         kk = min(k, n - 1)
-        for lo in range(0, n, _TOPK_BLOCK):
-            sim = hn[lo : lo + _TOPK_BLOCK] @ hn.T
-            rows = np.arange(sim.shape[0])
-            sim[rows, lo + rows] = -np.inf
-            src, dst = _topk_columns(sim, kk)
-            edges.append(np.column_stack((src + lo, dst)))
+        rows = rows or _block_rows(n)
+        for lo in range(0, n, rows):
+            sim = hn[lo : lo + rows] @ hn.T
+            diag = np.arange(sim.shape[0])
+            sim[diag, lo + diag] = -np.inf
+            chunk = rank_rows or sim.shape[0]
+            for c in range(0, sim.shape[0], chunk):
+                src, dst = _topk_columns(sim[c : c + chunk], kk)
+                edges.append(np.column_stack((src + lo + c, dst)))
     return SparseGraph.from_edges(n, np.concatenate(edges), directed=True)
 
 
@@ -140,10 +145,11 @@ class TestTopkInsert:
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_matches_sort_oracle_across_row_blocks(self, k, rng):
-        # Three row blocks; 3-dim embeddings rounded to one decimal repeat
-        # directions, so many rows tie at their k-th place, and zero rows tie
-        # with everything at similarity 0.
-        n = 2 * _TOPK_BLOCK + 77
+        # Five row blocks of 238 rows (the last of 149); 3-dim embeddings
+        # rounded to one decimal repeat directions, so many rows tie at their
+        # k-th place, and zero rows tie with everything at similarity 0.
+        n = 1101
+        rows = _block_rows(n)
         h = np.round(rng.normal(size=(n, 3)), 1)
         h[::97] = 0.0
         g = random_undirected_graph(n, 2.0 / n, rng)
@@ -155,15 +161,17 @@ class TestTopkInsert:
             order = sorted((j for j in range(n) if j != i), key=lambda j: (-sim[i, j], j))
             expected |= {(i, j) for j in order[:k]}
             if sim[i, order[k - 1]] == sim[i, order[k]]:
-                tied_rows.add(i // _TOPK_BLOCK)
-        assert tied_rows == {0, 1, 2}  # the tie rule is exercised in every block
+                tied_rows.add(i // rows)
+        # The tie rule is exercised in every block.
+        assert tied_rows == set(range(-(-n // rows))) == set(range(5))
         assert out.edge_set() == expected
 
-    @pytest.mark.parametrize("n", [2, 5, 63, 64, 65, 300, 511, 512, 513, 2 * _TOPK_BLOCK + 77])
+    @pytest.mark.parametrize("n", [2, 5, 63, 64, 65, 300, 511, 512, 513, 1101])
     def test_csr_bitwise_equal_to_reference(self, n):
         # Rounded 3-dim rows repeat directions, so rows tie at their k-th
-        # place; zero rows tie with everything at similarity 0. The chunks of
-        # 64 ranked rows split the blocks at 63/64/65 and 511/512/513 nodes.
+        # place; zero rows tie with everything at similarity 0. Up to 512
+        # nodes every row is in one block; at 513 the blocks hold 511 and 2
+        # rows, at 1101 238 rows and a last one of 149.
         rng = make_rng(n)
         h = np.round(rng.normal(size=(n, 3)), 1)
         h[::7] = 0.0
@@ -172,9 +180,23 @@ class TestTopkInsert:
             want = _csr_bytes(_reference_topk_insert(g, h, k))
             assert _csr_bytes(topk_insert(g, h, k)) == want, f"k={k}"
 
+    @pytest.mark.parametrize("n", [300, 3000])
+    def test_csr_bitwise_equal_to_parent_blocks(self, n):
+        # The refined graphs at the benchmark's sizes (n=300 and n=3000) are
+        # those of the earlier rule: 512-row blocks, each ranked in chunks of
+        # 64 rows.
+        rng = make_rng(n)
+        h = rng.normal(size=(n, 64))
+        g = random_undirected_graph(n, 3.0 / n, rng)
+        want = _csr_bytes(_reference_topk_insert(g, h, 5, rows=512, rank_rows=64))
+        assert _csr_bytes(topk_insert(g, h, 5)) == want
+
     def test_working_set_bounded(self):
-        # One 512 x n block buffer plus one 64-row chunk's partition copy and
-        # boolean masks; two 512 x n blocks would exceed this.
+        # The block buffer and one block's partition copy (at most
+        # _BLOCK_BYTES each), the block's three boolean masks, and 1 MiB.
+        # The copy is freed before the masks are made, so the masks' share
+        # and the 1 MiB hold the normalized embeddings (1.5 MB here) and the
+        # edges. One 512 x n block alone (12 MB at n=3000) would exceed this.
         n, k = 3000, 5
         h = make_rng(0).normal(size=(n, 64))
         g = SparseGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
@@ -184,7 +206,7 @@ class TestTopkInsert:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * _TOPK_BLOCK * n + 3 * 8 * 64 * n
+        assert peak < 2 * _BLOCK_BYTES + 3 * _block_rows(n) * n + 2**20
 
     @pytest.mark.parametrize("rows", [9, 11])
     def test_embedding_row_count_checked(self, rows, rng):
