@@ -1,10 +1,11 @@
 """Two-layer GCN classifier with a degree-reweighted aggregation mode.
 
 The advanced mode weights each in-message by (d_i d_j)^alpha, row-normalized
-so neighbor weights sum to one, and adds a beta-weighted self term. The
-vanilla mode is the classic renormalized-adjacency GCN, kept as an exact
-separate implementation for baselines and ablation; it makes a directed graph
-undirected itself, so every caller passes the graph it has.
+so neighbor weights sum to one, and adds a beta-weighted self term; with
+alpha > 0 this down-weights the edges to low-degree nodes that structural
+attacks favor. The vanilla mode is the classic renormalized-adjacency GCN,
+kept as an exact separate implementation for baselines and ablation; it makes
+a directed graph undirected itself, so every caller passes the graph it has.
 """
 
 from __future__ import annotations

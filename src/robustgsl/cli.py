@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .attack import AttackBudget, dice_attack, random_attack
-from .classifier import MODES, train_classifier
+from .classifier import MODES
 from .data_io import (
     GraphBundle,
     SbmSpec,
@@ -37,6 +37,7 @@ from .pipeline import (
     SWEEPABLE,
     VARIANTS,
     PipelineConfig,
+    classify_stage,
     preprocess_stage,
     refine_stage,
     run_experiment,
@@ -46,7 +47,7 @@ from .pipeline import (
 from .preprocess import METRICS, ViewBundle
 from .refine import removal_report
 # Not called here; perfbench/spans.py still lists these names as call sites of this module.
-from .classifier import predict  # noqa: F401
+from .classifier import predict, train_classifier  # noqa: F401
 from .preprocess import identical_views, make_views, random_perturb_views, rough_preprocess  # noqa: F401
 from .refine import prune_edges, topk_insert  # noqa: F401
 
@@ -242,10 +243,7 @@ def cmd_refine(args) -> int:
     config = _apply_overrides(PipelineConfig(), args)
     # refine_stage measures similarity on the pre-activation, with no fallback
     # to the embeddings. A missing file exits with code 2 and names it.
-    z_path = _preactivation_path(args.embeddings)
-    z = load_features(z_path)
-    if z.shape[0] != n:
-        raise ValueError(f"{z_path}: {z.shape[0]} rows, but the graph has {n} nodes")
+    z = load_features(_preactivation_path(args.embeddings), n)
     if args.clean:
         # The audit needs the clean graph, on the poisoned bundle's nodes, and
         # the edges that preprocess removed. Both are read before any output.
@@ -270,23 +268,9 @@ def cmd_train(args) -> int:
     bundle = load_graph_bundle(args.in_dir)
     n = bundle.graph.num_nodes
     graph = load_edges(args.graph, n, directed=True) if args.graph else bundle.graph
-    h0 = bundle.features
-    if args.embeddings:
-        h0 = load_features(args.embeddings)
-        if h0.shape[0] != n:
-            raise ValueError(f"{args.embeddings}: {h0.shape[0]} rows, but the graph has {n} nodes")
+    h0 = load_features(args.embeddings, n) if args.embeddings else bundle.features
     config = _apply_overrides(PipelineConfig(), args)
-    model, test_acc = train_classifier(
-        graph,
-        h0,
-        bundle.labels,
-        bundle.split,
-        config.classifier,
-        config.classifier_mode,
-        config.alpha,
-        config.beta,
-        args.seed,
-    )
+    model, test_acc = classify_stage(graph, h0, bundle, config, args.seed)
     print(f"test accuracy {test_acc:.4f}")
     if args.out:
         write_report(

@@ -133,8 +133,9 @@ def load_edges(path, num_nodes: int, directed: bool = False) -> SparseGraph:
     return SparseGraph.from_edges(num_nodes, edges, directed=directed)
 
 
-def load_features(path) -> np.ndarray:
-    """Read a dense matrix file: header 'N d' then N rows of d reals."""
+def load_features(path, num_nodes: int | None = None) -> np.ndarray:
+    """Read a dense matrix file: header 'N d' then N rows of d reals. With
+    num_nodes given, the matrix must have one row per node."""
     path = Path(path)
     with _open(path, errors="replace") as fh:
         header = fh.readline().strip()
@@ -147,6 +148,8 @@ def load_features(path) -> np.ndarray:
     x = _read_table(path, float, dim, comments=False, start=2)
     if len(x) != n:
         raise BundleFormatError(f"{path}: header says {n} rows, found {len(x)}")
+    if num_nodes is not None and n != num_nodes:
+        raise BundleFormatError(f"{path}: {n} rows, but the graph has {num_nodes} nodes")
     return x
 
 
@@ -286,7 +289,8 @@ def generate_sbm(spec: SbmSpec) -> GraphBundle:
     class_end = np.repeat(np.cumsum(sizes), sizes)  # one past the last node of each node's class
 
     # One uniform u per pair i < j, in row-major order, drawn PAIR_BLOCK pairs
-    # at a time. A pair is an edge if u < p_in within a class, or if u < p_out
+    # at a time: the same draws as one call over all pairs, in O(n + E)
+    # memory. A pair is an edge if u < p_in within a class, or if u < p_out
     # (< p_in) across classes.
     edges = []
     for lo, hi in pair_blocks(n):

@@ -124,7 +124,7 @@ def sample_nonedge(rng: np.random.Generator, n: int, forbidden: set, labels=None
 
     With labels given, only inter-class pairs qualify. Returns None once the
     eligible pool is provably empty (checked by enumeration after repeated
-    rejection failures).
+    rejection failures), one PAIR_BLOCK of pairs at a time, never all of them.
     """
     for _ in range(50 * n):
         u = int(rng.integers(n))

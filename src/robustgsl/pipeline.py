@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .classifier import ClassifierConfig, train_classifier
+from .classifier import ClassifierConfig, ClassifierModel, train_classifier
 from .data_io import GraphBundle
 from .encoder import EncoderConfig, train_encoder
 from .graph import SparseGraph, edge_difference
@@ -86,9 +86,17 @@ def preprocess_stage(
 ) -> tuple[SparseGraph, np.ndarray, ViewBundle]:
     """Rough pre-process, then the encoder's augmentation views of its result.
 
-    Returns (pre-processed graph, removed edges, views).
+    Returns (pre-processed graph, removed edges, views). Raises ValueError when
+    the pre-process removes every edge of a graph that has edges: that happens
+    on featureless graphs (X = I), where every pair scores 0 under both metrics,
+    and the encoder would then train on the recovered edges alone.
     """
     base, removed = rough_preprocess(graph, features, config.metric, config.t1)
+    if graph.num_edges and not base.num_edges:
+        raise ValueError(
+            f"the {config.metric} pre-process at t1={config.t1} removed all {graph.num_edges} edges;"
+            " a lower --t1 or --variant no-preprocess keeps the edges"
+        )
     aug = config.augmentation
     if aug == "recovery":
         views = make_views(base, removed, config.recover_p, config.num_views, seed)
@@ -114,6 +122,17 @@ def refine_stage(
     return retained, edge_difference(base, retained), topk_insert(retained, z, config.k)
 
 
+def classify_stage(
+    graph: SparseGraph, h0: np.ndarray, bundle: GraphBundle, config: PipelineConfig, seed: int
+) -> tuple[ClassifierModel, float]:
+    """Train the classifier of config.classifier_mode on graph with node
+    features h0, on bundle's labels and split. Returns (model, test accuracy)."""
+    return train_classifier(
+        graph, h0, bundle.labels, bundle.split, config.classifier, config.classifier_mode,
+        config.alpha, config.beta, seed,
+    )
+
+
 def run_variant(
     bundle: GraphBundle, config: PipelineConfig, variant: str, seed: int
 ) -> PipelineRun:
@@ -121,39 +140,22 @@ def run_variant(
         raise ValueError(f"unknown variant {variant!r}, expected one of {tuple(VARIANTS)}")
     config = replace(config, **VARIANTS[variant])
     rng = make_rng(seed)
-    view_seed = int(rng.integers(2 ** 63))
-    encoder_seed = int(rng.integers(2 ** 63))
-    classifier_seed = int(rng.integers(2 ** 63))
+    view_seed, encoder_seed, classifier_seed = (int(rng.integers(2 ** 63)) for _ in range(3))
 
-    g_in = bundle.graph
-    base, removed, views = preprocess_stage(g_in, bundle.features, config, view_seed)
+    base, removed, views = preprocess_stage(bundle.graph, bundle.features, config, view_seed)
     # The classifier keeps the activated embeddings as its features.
     _, embeddings, z = train_encoder(views, bundle.features, config.encoder, encoder_seed)
     retained, removed_refine, refined = refine_stage(base, z, config)
+    _, test_acc = classify_stage(refined, embeddings, bundle, config, classifier_seed)
 
-    _, test_acc = train_classifier(
-        refined,
-        embeddings,
-        bundle.labels,
-        bundle.split,
-        config.classifier,
-        config.classifier_mode,
-        config.alpha,
-        config.beta,
-        classifier_seed,
-    )
-
-    retained_directed = 2 * retained.num_edges
     stats = {
-        "edges_input": g_in.num_edges,
+        "edges_input": bundle.graph.num_edges,
         "edges_preprocessed": base.num_edges,
         "edges_removed_preprocess": len(removed),
-        "mean_recovered_per_view": float(
-            np.mean([v.num_edges - base.num_edges for v in views.views])
-        ),
+        "mean_recovered_per_view": float(np.mean([v.num_edges - base.num_edges for v in views.views])),
         "edges_retained": retained.num_edges,
         "edges_removed_refine": len(removed_refine),
-        "edges_inserted_directed": refined.num_edges - retained_directed,
+        "edges_inserted_directed": refined.num_edges - 2 * retained.num_edges,
         "edges_refined_directed": refined.num_edges,
         "variant": variant,
     }
@@ -173,19 +175,10 @@ def run_pipeline(bundle: GraphBundle, config: PipelineConfig, seed: int) -> Pipe
 
 
 def run_gcn_baseline(bundle: GraphBundle, config: PipelineConfig, seed: int) -> float:
-    """Vanilla two-layer GCN on the input graph with raw features."""
-    _, test_acc = train_classifier(
-        bundle.graph,
-        bundle.features,
-        bundle.labels,
-        bundle.split,
-        config.classifier,
-        "vanilla",
-        0.0,
-        0.0,
-        seed,
-    )
-    return test_acc
+    """Vanilla two-layer GCN on the input graph with raw features; the
+    vanilla mode ignores alpha and beta."""
+    vanilla = replace(config, classifier_mode="vanilla")
+    return classify_stage(bundle.graph, bundle.features, bundle, vanilla, seed)[1]
 
 
 def run_experiment(

@@ -85,8 +85,9 @@ def topk_insert(retained: SparseGraph, h: np.ndarray, k: int) -> SparseGraph:
 
     Ties break toward the smaller candidate id. The cosines are computed in
     blocks of at most _BLOCK_BYTES into one reused buffer, and each block is
-    ranked whole, so no n x n matrix is held. The result is directed: row i
-    lists the aggregation sources of node i.
+    ranked whole, so no n x n matrix is held: the working set is about
+    2 * _BLOCK_BYTES + 3 * rows * n bytes, rows = _block_rows(n). The result
+    is directed: row i lists the aggregation sources of node i.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")

@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from robustgsl.cli import FIELD_RULES, main
 from robustgsl.data_io import load_features, load_graph_bundle, read_report, save_features
-from robustgsl.linalg import make_rng
+from robustgsl.linalg import NumericError, make_rng
 from robustgsl.pipeline import PipelineConfig
 
 
@@ -376,7 +378,8 @@ class TestStageConfig:
     )
     def test_train(self, poisoned_dir, flags, changes, mode, monkeypatch):
         calls = {}
-        monkeypatch.setattr("robustgsl.cli.train_classifier", _recorder(calls, "train_classifier"))
+        # train runs pipeline.classify_stage, which calls the name pipeline imports.
+        monkeypatch.setattr("robustgsl.pipeline.train_classifier", _recorder(calls, "train_classifier"))
         with pytest.raises(_Stop):
             main(["train", "--in", str(poisoned_dir), *flags])
         config, got_mode, alpha, beta, seed = calls["train_classifier"][4:]
@@ -419,6 +422,36 @@ class TestErrorExitCodes:
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
         assert main(["pipeline", "--in", str(poisoned_dir), "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("text", ['{"bogus": 1}', '{"encoder": 5}', "[1]"])
+    def test_config_of_wrong_shape(self, poisoned_dir, tmp_path, text, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("pipeline trained an encoder on a config it could not load")
+
+        monkeypatch.setattr("robustgsl.pipeline.train_encoder", no_training)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["pipeline", "--in", str(poisoned_dir), "--config", str(cfg)]) == 2
+        assert f"cannot load config {cfg}" in capsys.readouterr().err
+
+    def test_numeric_failure_exits_3(self, poisoned_dir, monkeypatch, capsys):
+        def diverge(*args, **kwargs):
+            raise NumericError("contrastive loss diverged at epoch 0")
+
+        monkeypatch.setattr("robustgsl.pipeline.train_encoder", diverge)
+        assert main(["pipeline", "--in", str(poisoned_dir)]) == 3
+        assert "numeric failure: contrastive loss diverged at epoch 0" in capsys.readouterr().err
+
+    def test_featureless_preprocess(self, clean_dir, tmp_path, capsys):
+        # With X = I every edge scores 0, and the pre-process would remove them all.
+        bundle = tmp_path / "featureless"
+        shutil.copytree(clean_dir, bundle)
+        save_features(np.eye(60), bundle / "features.txt")
+        out = tmp_path / "pre"
+        assert main(["preprocess", "--in", str(bundle), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "the jaccard pre-process at t1=0.03 removed all" in err and "--variant no-preprocess" in err
+        assert not out.exists()
 
     def test_invalid_threshold_value(self, poisoned_dir, capsys):
         # recover_p outside [0, 1] stops at parsing, like every other flag

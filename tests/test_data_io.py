@@ -94,6 +94,14 @@ class TestBundleIo:
         with pytest.raises(BundleFormatError, match="features.txt:3"):
             load_graph_bundle(tmp_path)
 
+    def test_feature_rows_checked_against_node_count(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        save_features(np.zeros((3, 2)), path)
+        assert load_features(path, 3).shape == (3, 2)
+        with pytest.raises(BundleFormatError) as exc:
+            load_features(path, 4)
+        assert str(exc.value) == f"{path}: 3 rows, but the graph has 4 nodes"
+
     def test_unlabelled_split_node_rejected(self, tmp_path):
         save_graph_bundle(toy_bundle(), tmp_path)
         (tmp_path / "labels.tsv").write_text("0\t0\n2\t1\n")

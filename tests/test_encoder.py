@@ -379,23 +379,37 @@ def _adam_loop(loss_and_grads, params, config):
     return best, config.epochs
 
 
+def _train_encoder_against_loop(activation, lr):
+    """train_encoder and _adam_loop on the same instance, with patience 5 and
+    a 60-epoch cap; asserts that their outputs match byte for byte and
+    returns the number of epochs the loop ran."""
+    _, bundle, x, _ = small_instance(n=8, d=5, h=4, m=3)
+    config = EncoderConfig(hidden=4, lr=lr, epochs=60, patience=5, activation=activation)
+    model, emb, z = train_encoder(bundle, x, config, seed=4)
+
+    params, ax_base, ax_shuf, ax_views = _loop_start(bundle, x, config, 4)
+    epoch = _contrastive_epoch(ax_base, ax_shuf, ax_views, activation, config.hidden)
+    best, epochs_run = _adam_loop(epoch, params, config)
+    want_z = ax_base @ best["w_enc"]
+    want_emb = np.maximum(want_z, 0.0) if activation == "relu" else want_z
+
+    assert model.w_enc.tobytes() == best["w_enc"].tobytes()
+    assert model.w_disc.tobytes() == best["w_disc"].tobytes()
+    assert z.tobytes() == want_z.tobytes()
+    assert emb.tobytes() == want_emb.tobytes()
+    return epochs_run
+
+
 class TestTrainEncoderLoop:
     @pytest.mark.parametrize("activation", ["relu", "linear"])
     def test_train_encoder_bitwise_equal_to_epoch_loop(self, activation):
-        _, bundle, x, _ = small_instance(n=8, d=5, h=4, m=3)
-        config = EncoderConfig(hidden=4, epochs=60, patience=5, activation=activation)
-        model, emb, z = train_encoder(bundle, x, config, seed=4)
+        _train_encoder_against_loop(activation, EncoderConfig.lr)
 
-        params, ax_base, ax_shuf, ax_views = _loop_start(bundle, x, config, 4)
-        epoch = _contrastive_epoch(ax_base, ax_shuf, ax_views, activation, config.hidden)
-        best, _ = _adam_loop(epoch, params, config)
-        want_z = ax_base @ best["w_enc"]
-        want_emb = np.maximum(want_z, 0.0) if activation == "relu" else want_z
-
-        assert model.w_enc.tobytes() == best["w_enc"].tobytes()
-        assert model.w_disc.tobytes() == best["w_disc"].tobytes()
-        assert z.tobytes() == want_z.tobytes()
-        assert emb.tobytes() == want_emb.tobytes()
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    def test_train_encoder_patience_stop_bitwise_equal_to_epoch_loop(self, activation):
+        # At lr 1e-15 no epoch improves the first loss by 1e-9, so both loops
+        # stop after the first epoch and 5 stale ones, well before the cap.
+        assert _train_encoder_against_loop(activation, 1e-15) == 6
 
     @pytest.mark.parametrize("activation", ["relu", "linear"])
     @pytest.mark.parametrize("kind", ["random", "recovery"])

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -8,6 +9,7 @@ from conftest import pairs
 from robustgsl.attack import AttackBudget, dice_attack, random_attack
 from robustgsl.data_io import GraphBundle, SbmSpec, generate_sbm
 from robustgsl.encoder import EncoderConfig
+from robustgsl.graph import SparseGraph
 from robustgsl.classifier import ClassifierConfig
 from robustgsl.preprocess import rough_preprocess
 from robustgsl.refine import embedding_similarity
@@ -15,6 +17,7 @@ from robustgsl import pipeline
 from robustgsl.pipeline import (
     VARIANTS,
     PipelineConfig,
+    preprocess_stage,
     run_experiment,
     run_gcn_baseline,
     run_pipeline,
@@ -116,6 +119,32 @@ class TestRunVariant:
     def test_unknown_variant(self, sbm):
         with pytest.raises(ValueError, match="unknown variant"):
             run_variant(sbm, fast_config(), "bogus", seed=0)
+
+
+class TestFeaturelessGraph:
+    """With X = I every edge scores 0 under both metrics, so the rough
+    pre-process would remove every edge and leave the encoder garbage."""
+
+    @pytest.fixture(scope="class")
+    def featureless(self):
+        battery = generate_sbm(SbmSpec(300, 3, 0.1, 0.005, 100, 10, 0.01, seed=1))
+        return dataclasses.replace(battery, features=np.eye(300))
+
+    @pytest.mark.parametrize("metric", ["jaccard", "cosine"])
+    def test_pipeline_refuses(self, featureless, metric):
+        message = rf"the {metric} pre-process at t1=0.03 removed all 1638 edges;.*--t1.*--variant no-preprocess"
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(featureless, PipelineConfig(metric=metric), seed=0)
+
+    def test_no_preprocess_runs(self, featureless):
+        run = run_variant(featureless, PipelineConfig(), "no-preprocess", seed=0)
+        assert run.stats["edges_removed_preprocess"] == 0
+        assert run.accuracy > 0.9
+
+    def test_edgeless_graph_passes(self):
+        # Only a graph that has edges can lose all of them.
+        base, removed, _ = preprocess_stage(SparseGraph.from_edges(5, []), np.eye(5), PipelineConfig(), seed=0)
+        assert base.num_edges == len(removed) == 0
 
 
 class TestBaselineAndExperiment:
