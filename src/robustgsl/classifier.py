@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import SparseGraph, degrees, renormalized_adjacency, symmetrized
-from .linalg import NumericError, adam_init, adam_step, glorot, make_rng, relu, spmm
+from .linalg import NumericError, adam_init, adam_step, glorot, make_rng, relu
 
 MODES = ("advanced", "vanilla")
 
@@ -92,7 +92,7 @@ def _labelled_forward(
     """
     z1 = qh0 @ w1
     h1 = relu(z1)
-    prop[lab] = spmm(q_lab, h1)
+    prop[lab] = q_lab @ h1
     return z1, h1, prop @ w2
 
 
@@ -123,7 +123,7 @@ def _loss_and_grads(
     grad[np.arange(len(node_ids)), labels[node_ids]] -= 1.0
     grad /= len(node_ids)
 
-    qt_dl = spmm(qt_ids, grad)
+    qt_dl = qt_ids @ grad
     d_w2 = h1.T @ qt_dl + weight_decay * w2
     d_h1 = qt_dl @ w2.T
     d_z1 = d_h1 * (z1 > 0)
@@ -141,7 +141,7 @@ def classifier_loss_and_grads(
     weight_decay: float,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over node_ids plus L2 on both layer weights."""
-    qh0 = spmm(q, h0)
+    qh0 = q @ h0
     q_ids = q[node_ids]
     prop = np.zeros((q.shape[0], w1.shape[1]))
     forward = _labelled_forward(q_ids, node_ids, qh0, w1, w2, prop)
@@ -152,7 +152,7 @@ def predict(model: ClassifierModel, g: SparseGraph, h0: np.ndarray) -> np.ndarra
     """Per-node argmax class; ties go to the smaller class id."""
     q = propagation_matrix(g, model.mode, model.alpha, model.beta)
     prop = np.empty((g.num_nodes, model.w1.shape[1]))
-    return np.argmax(_labelled_forward(q, slice(None), spmm(q, h0), model.w1, model.w2, prop)[2], axis=1)
+    return np.argmax(_labelled_forward(q, slice(None), q @ h0, model.w1, model.w2, prop)[2], axis=1)
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray, node_ids) -> float:
@@ -179,6 +179,8 @@ def train_classifier(
     """
     if not split.train:
         raise ValueError("training split is empty")
+    if not split.test:
+        raise ValueError("test split is empty")
     if config.epochs < 1:
         raise ValueError(f"classifier epochs must be >= 1, got {config.epochs}")
     if h0.shape[0] != g.num_nodes:
@@ -190,7 +192,7 @@ def train_classifier(
         "w2": glorot(config.hidden, num_classes, rng),
     }
     q = propagation_matrix(g, mode, alpha, beta)
-    qh0 = spmm(q, h0)
+    qh0 = q @ h0
     train_ids = np.asarray(split.train, dtype=np.int64)
     val_ids = np.asarray(split.val, dtype=np.int64)
     # Epochs read the logits of the train and validation rows only, so they
@@ -224,8 +226,6 @@ def train_classifier(
     model = ClassifierModel(
         w1=best["w1"], w2=best["w2"], mode=mode, alpha=alpha, beta=beta, val_accuracy=best_val
     )
-    if not split.test:
-        return model, float("nan")
     test_ids = np.asarray(split.test, dtype=np.int64)
     logits = _labelled_forward(q[test_ids], test_ids, qh0, model.w1, model.w2, prop)[2]
     return model, accuracy(np.argmax(logits, axis=1), labels, test_ids)

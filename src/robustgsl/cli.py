@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration/input error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -16,7 +17,6 @@ import numpy as np
 from .attack import AttackBudget, dice_attack, random_attack
 from .classifier import MODES
 from .data_io import (
-    GraphBundle,
     SbmSpec,
     generate_sbm,
     load_edges,
@@ -143,17 +143,7 @@ def _seed_list(args) -> list[int]:
 
 
 def cmd_synth(args) -> int:
-    spec = SbmSpec(
-        num_nodes=args.nodes,
-        num_classes=args.classes,
-        p_in=args.p_in,
-        p_out=args.p_out,
-        feature_dim=args.dim,
-        on_bits=args.on_bits,
-        flip_noise=args.noise,
-        seed=args.seed,
-    )
-    bundle = generate_sbm(spec)
+    bundle = generate_sbm(SbmSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SbmSpec)}))
     save_graph_bundle(bundle, args.out)
     print(f"wrote SBM bundle: {bundle.graph.num_nodes} nodes, {bundle.graph.num_edges} edges -> {args.out}")
     return 0
@@ -167,10 +157,7 @@ def cmd_attack(args) -> int:
     else:
         poisoned, record = dice_attack(bundle.graph, bundle.labels, budget)
     out = Path(args.out)
-    save_graph_bundle(
-        GraphBundle(graph=poisoned, features=bundle.features, labels=bundle.labels, split=bundle.split),
-        out,
-    )
+    save_graph_bundle(dataclasses.replace(bundle, graph=poisoned), out)
     write_report(record.to_dict(), out / "perturbation.json")
     print(
         f"{args.method} attack: +{len(record.added)} / -{len(record.removed)} edges -> {out}"
@@ -358,14 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
         config_flag(p, "--aug", "augmentation")
 
     p = sub.add_parser("synth", help="generate a synthetic SBM bundle")
-    # Each flag is checked alone here; SbmSpec.validate checks how they combine.
-    p.add_argument("--nodes", type=_at_least_one, default=300)
-    p.add_argument("--classes", type=_at_least_two, default=3)
+    # Each flag's dest is the SbmSpec field it sets. Each flag is checked alone
+    # here; SbmSpec.validate checks how they combine.
+    p.add_argument("--nodes", dest="num_nodes", metavar="NODES", type=_at_least_one, default=300)
+    p.add_argument("--classes", dest="num_classes", metavar="CLASSES", type=_at_least_two, default=3)
     p.add_argument("--p-in", dest="p_in", type=_probability, default=0.1)
     p.add_argument("--p-out", dest="p_out", type=_probability, default=0.005)
-    p.add_argument("--dim", type=_at_least_one, default=100)
+    p.add_argument("--dim", dest="feature_dim", metavar="DIM", type=_at_least_one, default=100)
     p.add_argument("--on-bits", dest="on_bits", type=_non_negative_int, default=10)
-    p.add_argument("--noise", type=_probability, default=0.01)
+    p.add_argument("--noise", dest="flip_noise", metavar="NOISE", type=_probability, default=0.01)
     common(p)
     p.set_defaults(func=cmd_synth, out="sbm")
 

@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .graph import SparseGraph, renormalized_adjacency
-from .linalg import NumericError, adam_init, adam_step, glorot, make_rng, relu, sigmoid, spmm
+from .linalg import NumericError, adam_init, adam_step, glorot, make_rng, relu, sigmoid
 from .preprocess import ViewBundle
 
 PROB_CLIP = 1e-7
@@ -171,10 +171,10 @@ def _graph_epoch(
     features on it and of every view. ``shuffled`` is dropped once its product is
     made: on CPython 3.11+ a temporary argument is then freed before any view's."""
     a_base = renormalized_adjacency(base)
-    ax_base = spmm(a_base, features)
-    ax_shuf = spmm(a_base, shuffled)
+    ax_base = a_base @ features
+    ax_shuf = a_base @ shuffled
     del shuffled
-    ax_views = (spmm(renormalized_adjacency(v), features) for v in views)
+    ax_views = (renormalized_adjacency(v) @ features for v in views)
     return _contrastive_epoch(ax_base, ax_shuf, ax_views, activation, hidden)
 
 

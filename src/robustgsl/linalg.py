@@ -1,7 +1,7 @@
-"""Dense/sparse kernels, parameter init, Adam, and finite-difference checking.
+"""Dense kernels, parameter init, Adam, and finite-difference checking.
 
 Everything here is deterministic: random draws go through an explicit
-numpy Generator, and sparse products run single-threaded through scipy.
+numpy Generator.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class NumericError(RuntimeError):
@@ -19,16 +18,6 @@ class NumericError(RuntimeError):
 def make_rng(seed: int) -> np.random.Generator:
     """PCG64 generator; identical seed gives identical draws on all platforms."""
     return np.random.default_rng(np.random.PCG64(seed))
-
-
-def spmm(a: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
-    """Sparse @ dense product with a shape diagnostic on mismatch."""
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"spmm shape mismatch: sparse is {a.shape[0]}x{a.shape[1]}, "
-            f"dense is {b.shape[0]}x{b.shape[1] if b.ndim > 1 else 1}"
-        )
-    return np.asarray(a @ b)
 
 
 # Edges per gather in the edge kernels: a block holds two EDGE_BLOCK x d row
@@ -41,9 +30,9 @@ def edge_cosines(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Cosine of rows u and v of x for each (u, v) row of edges; 0 when
     either row is all zero.
 
-    Bitwise equal to the cosines of ``feature_similarity`` and
-    ``embedding_similarity``: numpy computes the matmul of a 1 x d by a d x 1
-    slice with the same BLAS dot that np.dot and np.linalg.norm take on a row.
+    Bitwise equal to the cosines of ``feature_similarity``: numpy computes
+    the matmul of a 1 x d by a d x 1 slice with the same BLAS dot that np.dot
+    and np.linalg.norm take on a row.
     """
     norms = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
     out = np.zeros(len(edges))
@@ -74,14 +63,15 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+# Adam's moment decay rates and denominator offset.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Adaptive-moment optimizer state for a named set of parameters."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -117,18 +107,18 @@ def adam_step(
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter {name!r} at step {t}")
         m, v = state.m[name], state.v[name]
-        tmp = (1 - state.beta1) * g
-        m *= state.beta1
+        tmp = (1 - ADAM_BETA1) * g
+        m *= ADAM_BETA1
         m += tmp
-        np.multiply(1 - state.beta2, g, out=tmp)
+        np.multiply(1 - ADAM_BETA2, g, out=tmp)
         tmp *= g
-        v *= state.beta2
+        v *= ADAM_BETA2
         v += tmp
         # tmp becomes sqrt(vhat) + eps, the update's denominator.
-        np.divide(v, 1 - state.beta2 ** t, out=tmp)
+        np.divide(v, 1 - ADAM_BETA2 ** t, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += state.eps
-        update = m / (1 - state.beta1 ** t)
+        tmp += ADAM_EPS
+        update = m / (1 - ADAM_BETA1 ** t)
         update *= state.lr
         update /= tmp
         out[name] = p - update

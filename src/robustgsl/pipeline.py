@@ -81,22 +81,28 @@ class PipelineRun:
         return np.unique(np.concatenate((self.removed_preprocess, self.removed_refine)), axis=0)
 
 
-def preprocess_stage(
-    graph: SparseGraph, features: np.ndarray, config: PipelineConfig, seed: int
-) -> tuple[SparseGraph, np.ndarray, ViewBundle]:
-    """Rough pre-process, then the encoder's augmentation views of its result.
-
-    Returns (pre-processed graph, removed edges, views). Raises ValueError when
-    the pre-process removes every edge of a graph that has edges: that happens
-    on featureless graphs (X = I), where every pair scores 0 under both metrics,
-    and the encoder would then train on the recovered edges alone.
-    """
+def _rough_stage(
+    graph: SparseGraph, features: np.ndarray, config: PipelineConfig
+) -> tuple[SparseGraph, np.ndarray]:
+    """rough_preprocess at config's metric and t1. Raises ValueError when it
+    removes every edge of a graph that has edges, as on featureless graphs
+    (X = I), where every pair scores 0: the encoder would then train on the
+    recovered edges alone."""
     base, removed = rough_preprocess(graph, features, config.metric, config.t1)
     if graph.num_edges and not base.num_edges:
         raise ValueError(
             f"the {config.metric} pre-process at t1={config.t1} removed all {graph.num_edges} edges;"
-            " a lower --t1 or --variant no-preprocess keeps the edges"
+            " a lower t1 keeps them"
         )
+    return base, removed
+
+
+def preprocess_stage(
+    graph: SparseGraph, features: np.ndarray, config: PipelineConfig, seed: int
+) -> tuple[SparseGraph, np.ndarray, ViewBundle]:
+    """Rough pre-process (_rough_stage), then the encoder's augmentation views
+    of its result. Returns (pre-processed graph, removed edges, views)."""
+    base, removed = _rough_stage(graph, features, config)
     aug = config.augmentation
     if aug == "recovery":
         views = make_views(base, removed, config.recover_p, config.num_views, seed)
@@ -191,6 +197,8 @@ def run_experiment(
     stage stats. Only each run's numbers are kept, not its graphs or arrays."""
     if not seeds:
         raise ValueError("need at least one seed")
+    if not bundle.split.test:
+        raise ValueError("test split is empty")
     start = time.perf_counter()
     acc, stats = [], []
     for s in seeds:
@@ -219,13 +227,17 @@ def sweep(
     values: list,
     seeds: list[int],
 ) -> list[dict]:
-    """One full-pipeline experiment per value; one summary row per value."""
+    """One full-pipeline experiment per value; one summary row per value. Every
+    value's pre-process is checked (_rough_stage) before the first training."""
     if param not in SWEEPABLE:
         raise ValueError(f"cannot sweep {param!r}, expected one of {SWEEPABLE}")
     if not values:
         raise ValueError("sweep needs at least one value")
+    configs = [replace(config, **{param: value}) for value in values]
+    for c in configs:
+        _rough_stage(bundle.graph, bundle.features, c)
     rows = []
-    for value in values:
-        record = run_experiment(bundle, replace(config, **{param: value}), seeds)
+    for value, c in zip(values, configs):
+        record = run_experiment(bundle, c, seeds)
         rows.append({"param": param, "value": value, **{k: record[k] for k in ("accuracies", "mean", "std")}})
     return rows

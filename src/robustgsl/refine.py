@@ -6,6 +6,7 @@ import numpy as np
 
 from .graph import SparseGraph, as_edge_array, edge_keys
 from .linalg import edge_cosines
+from .preprocess import feature_similarity
 
 
 def _normalized_rows(h: np.ndarray) -> np.ndarray:
@@ -16,10 +17,7 @@ def _normalized_rows(h: np.ndarray) -> np.ndarray:
 
 def embedding_similarity(h: np.ndarray, i: int, j: int) -> float:
     """Cosine of two embedding rows; 0 when either row is all zero."""
-    ni, nj = np.linalg.norm(h[i]), np.linalg.norm(h[j])
-    if ni == 0.0 or nj == 0.0:
-        return 0.0
-    return float(np.dot(h[i], h[j]) / (ni * nj))
+    return feature_similarity(h[i], h[j], "cosine")
 
 
 # Bytes of one block of cosine rows: topk_insert computes each block into one

@@ -281,9 +281,12 @@ class TestTrainClassifier:
             predict(runs[0][0], directed, sbm.features), predict(runs[1][0], sbm.graph, sbm.features)
         )
 
-    def test_empty_train_rejected(self, sbm):
-        split = DataSplit(train=[], val=[0], test=[1])
-        with pytest.raises(ValueError, match="empty"):
+    @pytest.mark.parametrize("split, message", [
+        (DataSplit(train=[], val=[0], test=[1]), "training split is empty"),
+        (DataSplit(train=[0], val=[1], test=[]), "test split is empty"),
+    ])
+    def test_empty_split_rejected(self, sbm, split, message):
+        with pytest.raises(ValueError, match=message):
             train_classifier(
                 sbm.graph, sbm.features, sbm.labels, split,
                 ClassifierConfig(epochs=1), "vanilla", 0.0, 0.0, 0,

@@ -18,6 +18,10 @@ FINITE_FLAGS = [("preprocess", "--t1"), ("refine", "--t2"), ("train", "--alpha")
 ]
 
 
+def _no_training(*args, **kwargs):
+    raise AssertionError("an encoder was trained before the inputs were checked")
+
+
 @pytest.fixture(scope="module")
 def clean_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("bundles") / "clean"
@@ -450,7 +454,29 @@ class TestErrorExitCodes:
         out = tmp_path / "pre"
         assert main(["preprocess", "--in", str(bundle), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "the jaccard pre-process at t1=0.03 removed all" in err and "--variant no-preprocess" in err
+        assert "the jaccard pre-process at t1=0.03 removed all" in err and "edges; a lower t1 keeps them" in err
+        assert not out.exists()
+
+    def test_sweep_checks_every_value_before_training(self, poisoned_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("robustgsl.pipeline.train_encoder", _no_training)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--in", str(poisoned_dir), "--param", "t1", "--values", "0.03,1.5", "--out", str(out)]
+        assert main(argv) == 2
+        assert "the jaccard pre-process at t1=1.5 removed all" in capsys.readouterr().err
+        assert not (out / "sweep.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "pipeline", "ablate", "sweep"])
+    def test_empty_test_split(self, clean_dir, tmp_path, command, monkeypatch, capsys):
+        # No test node means no accuracy: the run stops before training and writes nothing.
+        monkeypatch.setattr("robustgsl.pipeline.train_encoder", _no_training)
+        bundle = tmp_path / "no-test"
+        shutil.copytree(clean_dir, bundle)
+        split = json.loads((bundle / "split.json").read_text())
+        (bundle / "split.json").write_text(json.dumps({**split, "test": []}))
+        out = tmp_path / "out"
+        extra = ["--param", "k", "--values", "3"] if command == "sweep" else []
+        assert main([command, "--in", str(bundle), *extra, "--out", str(out)]) == 2
+        assert "test split is empty" in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_threshold_value(self, poisoned_dir, capsys):

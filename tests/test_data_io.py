@@ -82,6 +82,30 @@ class TestBundleIo:
         message = str(exc.value)
         assert message.startswith(f"{tmp_path / 'split.json'}: ") and problem in message
 
+    @pytest.mark.parametrize("split, message", [
+        ({"train": [], "val": [1], "test": [2]}, "split has an empty train set"),
+        ({"train": [0], "val": [3], "test": [2]}, "split references node 3, out of range 0..2"),
+        ({"train": [-1], "val": [1], "test": [2]}, "split references node -1, out of range 0..2"),
+    ])
+    def test_split_contents_checked(self, tmp_path, split, message):
+        save_graph_bundle(toy_bundle(), tmp_path)
+        (tmp_path / "split.json").write_text(json.dumps(split))
+        with pytest.raises(BundleFormatError) as exc:
+            load_graph_bundle(tmp_path)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("-3 2\n1 0\n0.5 0.25\n0 1\n", ":1: expected header 'N d', got '-3 2'"),
+        ("2 2\n1 0\n0.5 0.25\n0 1\n", ": header says 2 rows, found 3"),
+        ("4 2\n1 0\n0.5 0.25\n0 1\n", ": header says 4 rows, found 3"),
+    ])
+    def test_features_header_checked(self, tmp_path, text, message):
+        save_graph_bundle(toy_bundle(), tmp_path)
+        (tmp_path / "features.txt").write_text(text)
+        with pytest.raises(BundleFormatError) as exc:
+            load_graph_bundle(tmp_path)
+        assert str(exc.value) == f"{tmp_path / 'features.txt'}{message}"
+
     def test_ragged_features_rejected(self, tmp_path):
         save_graph_bundle(toy_bundle(), tmp_path)
         (tmp_path / "features.txt").write_text("3 2\n1 0\n0.5\n0 1\n")

@@ -16,7 +16,7 @@ from robustgsl.encoder import (
     train_encoder,
 )
 from robustgsl.graph import renormalized_adjacency
-from robustgsl.linalg import adam_init, adam_step, grad_check, make_rng, spmm
+from robustgsl.linalg import adam_init, adam_step, grad_check, make_rng
 from robustgsl.preprocess import ViewBundle, identical_views, make_views, random_perturb_views
 
 
@@ -59,7 +59,7 @@ class TestEncodeReadout:
 
     def test_preactivation_matches_oracle(self, rng):
         g, x, model, _, z = trained_on_random_graph(rng, n=10, d=5, h=3)
-        np.testing.assert_array_equal(z, spmm(renormalized_adjacency(g), x) @ model.w_enc)
+        np.testing.assert_array_equal(z, renormalized_adjacency(g) @ x @ model.w_enc)
         assert np.any(z < 0)
 
     def test_relu_of_preactivation_is_embeddings(self, rng):
@@ -132,7 +132,7 @@ class TestTrainEncoder:
         model, emb, _ = train_encoder(bundle, x, config, seed=3)
         expected = init_encoder(5, config, make_rng(3))
         np.testing.assert_array_equal(model.w_enc, expected.w_enc)
-        ax = spmm(renormalized_adjacency(bundle.base), x)
+        ax = renormalized_adjacency(bundle.base) @ x
         np.testing.assert_array_equal(emb, np.maximum(ax @ model.w_enc, 0.0))
 
     def test_deterministic(self):
@@ -240,9 +240,9 @@ def _products(bundle, x, seed=0):
     """A_hat X products of an instance: base, shuffled and one per view."""
     a_base = renormalized_adjacency(bundle.base)
     return (
-        spmm(a_base, x),
-        spmm(a_base, shuffle_features(x, seed + 1)),
-        [spmm(renormalized_adjacency(v), x) for v in bundle.views],
+        a_base @ x,
+        a_base @ shuffle_features(x, seed + 1),
+        [renormalized_adjacency(v) @ x for v in bundle.views],
     )
 
 
@@ -356,9 +356,9 @@ def _loop_start(bundle, x, config, seed):
     rng = make_rng(seed)
     init = init_encoder(x.shape[1], config, rng)
     a_base = renormalized_adjacency(bundle.base)
-    ax_base = spmm(a_base, x)
-    ax_views = [spmm(renormalized_adjacency(v), x) for v in bundle.views]
-    ax_shuf = spmm(a_base, shuffle_features(x, int(rng.integers(2 ** 63))))
+    ax_base = a_base @ x
+    ax_views = [renormalized_adjacency(v) @ x for v in bundle.views]
+    ax_shuf = a_base @ shuffle_features(x, int(rng.integers(2 ** 63)))
     return {"w_enc": init.w_enc, "w_disc": init.w_disc}, ax_base, ax_shuf, ax_views
 
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from conftest import masked_sigmoid
 from robustgsl.linalg import (
@@ -12,39 +11,7 @@ from robustgsl.linalg import (
     make_rng,
     relu,
     sigmoid,
-    spmm,
 )
-
-
-class TestSpmm:
-    def test_identity(self, rng):
-        b = rng.normal(size=(6, 3))
-        eye = sp.identity(6, format="csr")
-        np.testing.assert_array_equal(spmm(eye, b), b)
-
-    def test_all_zero(self, rng):
-        b = rng.normal(size=(5, 4))
-        z = sp.csr_matrix((5, 5))
-        np.testing.assert_array_equal(spmm(z, b), np.zeros((5, 4)))
-
-    def test_matches_dense_oracle(self, rng):
-        a = sp.random(10, 10, density=0.3, random_state=np.random.RandomState(0), format="csr")
-        b = rng.normal(size=(10, 4))
-        np.testing.assert_allclose(spmm(a, b), a.toarray() @ b, atol=1e-12)
-
-    def test_dense_oracle_property(self, rng):
-        # random instances up to 100x100
-        for trial in range(20):
-            n = int(rng.integers(2, 101))
-            m = int(rng.integers(1, 8))
-            a = sp.random(n, n, density=0.2, random_state=np.random.RandomState(trial), format="csr")
-            b = rng.normal(size=(n, m))
-            np.testing.assert_allclose(spmm(a, b), a.toarray() @ b, atol=1e-12)
-
-    def test_shape_mismatch(self, rng):
-        a = sp.identity(4, format="csr")
-        with pytest.raises(ValueError, match="shape mismatch"):
-            spmm(a, rng.normal(size=(5, 2)))
 
 
 class TestGlorot:

@@ -26,6 +26,10 @@ from robustgsl.pipeline import (
 )
 
 
+def _no_training(*args, **kwargs):
+    raise AssertionError("an encoder was trained before the inputs were checked")
+
+
 def fast_config(**kwargs):
     """Small training budgets so pipeline tests stay quick."""
     return PipelineConfig(
@@ -132,7 +136,7 @@ class TestFeaturelessGraph:
 
     @pytest.mark.parametrize("metric", ["jaccard", "cosine"])
     def test_pipeline_refuses(self, featureless, metric):
-        message = rf"the {metric} pre-process at t1=0.03 removed all 1638 edges;.*--t1.*--variant no-preprocess"
+        message = rf"the {metric} pre-process at t1=0.03 removed all 1638 edges; a lower t1 keeps them$"
         with pytest.raises(ValueError, match=message):
             run_pipeline(featureless, PipelineConfig(metric=metric), seed=0)
 
@@ -165,6 +169,12 @@ class TestBaselineAndExperiment:
     def test_experiment_needs_seeds(self, sbm):
         with pytest.raises(ValueError):
             run_experiment(sbm, fast_config(), seeds=[])
+
+    def test_experiment_needs_a_test_split(self, sbm, monkeypatch):
+        monkeypatch.setattr(pipeline, "train_encoder", _no_training)
+        bundle = dataclasses.replace(sbm, split=dataclasses.replace(sbm.split, test=[]))
+        with pytest.raises(ValueError, match="test split is empty"):
+            run_experiment(bundle, fast_config(), seeds=[0])
 
     def test_experiment_keeps_only_numbers(self, sbm, monkeypatch):
         # A run holds its refined graph and N x h arrays. When seed k+1 starts,
@@ -199,6 +209,13 @@ class TestSweep:
 
         direct = run_pipeline(sbm, dataclasses.replace(config, t1=0.5), seed=3).accuracy
         assert row_acc == direct
+
+    def test_featureless_value_stops_before_training(self, sbm, monkeypatch):
+        # No Jaccard score reaches t1=1.5, so its pre-process would remove every edge.
+        monkeypatch.setattr(pipeline, "train_encoder", _no_training)
+        message = rf"the jaccard pre-process at t1=1.5 removed all {sbm.graph.num_edges} edges; a lower t1"
+        with pytest.raises(ValueError, match=message):
+            sweep(sbm, fast_config(), "t1", [0.03, 1.5], seeds=[0])
 
     def test_unsweepable_param(self, sbm):
         with pytest.raises(ValueError, match="cannot sweep"):
