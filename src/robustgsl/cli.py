@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -17,11 +18,16 @@ import numpy as np
 from .attack import AttackBudget, dice_attack, random_attack
 from .classifier import MODES
 from .data_io import (
+    BundleFormatError,
+    GraphBundle,
     SbmSpec,
     generate_sbm,
     load_edges,
     load_features,
     load_graph_bundle,
+    load_labels,
+    load_num_nodes,
+    load_split,
     read_json,
     read_report,
     save_edges,
@@ -149,15 +155,28 @@ def cmd_synth(args) -> int:
     return 0
 
 
+# The bundle files that attack copies to its output unchanged.
+_UNCHANGED_BY_ATTACK = ("features.txt", "labels.tsv", "split.json")
+
+
 def cmd_attack(args) -> int:
-    bundle = load_graph_bundle(args.in_dir)
+    d, out = Path(args.in_dir), Path(args.out)
+    n = load_num_nodes(d / "features.txt")
+    graph = load_edges(d / "edges.tsv", n)
+    for name in _UNCHANGED_BY_ATTACK:  # before anything is written
+        if not (d / name).is_file():
+            raise BundleFormatError(f"missing file: {d / name}")
     budget = AttackBudget(rate=args.ptb_rate, seed=args.seed)
     if args.method == "random":
-        poisoned, record = random_attack(bundle.graph, budget)
+        poisoned, record = random_attack(graph, budget)
     else:
-        poisoned, record = dice_attack(bundle.graph, bundle.labels, budget)
-    out = Path(args.out)
-    save_graph_bundle(dataclasses.replace(bundle, graph=poisoned), out)
+        poisoned, record = dice_attack(graph, load_labels(d / "labels.tsv", n), budget)
+    save_edges(poisoned, out / "edges.tsv")  # creates out
+    for name in _UNCHANGED_BY_ATTACK:
+        try:
+            shutil.copyfile(d / name, out / name)
+        except shutil.SameFileError:  # --out is --in
+            pass
     write_report(record.to_dict(), out / "perturbation.json")
     print(
         f"{args.method} attack: +{len(record.added)} / -{len(record.removed)} edges -> {out}"
@@ -166,9 +185,11 @@ def cmd_attack(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    bundle = load_graph_bundle(args.in_dir)
+    d = Path(args.in_dir)
+    features = load_features(d / "features.txt")
+    graph = load_edges(d / "edges.tsv", len(features))
     config = _apply_overrides(PipelineConfig(), args)
-    base, removed, views = preprocess_stage(bundle.graph, bundle.features, config, args.seed)
+    base, removed, views = preprocess_stage(graph, features, config, args.seed)
     out = Path(args.out)
     save_edges(base, out / "preprocessed_edges.tsv")
     save_edges(SparseGraph.from_edges(base.num_nodes, removed), out / "removed_edges.tsv")
@@ -211,10 +232,10 @@ def _preactivation_path(embeddings_path) -> Path:
 
 
 def cmd_embed(args) -> int:
-    bundle = load_graph_bundle(args.in_dir)
-    views = _load_view_bundle(Path(args.pre), bundle.graph.num_nodes)
+    features = load_features(Path(args.in_dir) / "features.txt")
+    views = _load_view_bundle(Path(args.pre), len(features))
     config = _apply_overrides(PipelineConfig(), args)
-    _, embeddings, z = train_encoder(views, bundle.features, config.encoder, args.seed)
+    _, embeddings, z = train_encoder(views, features, config.encoder, args.seed)
     save_features(embeddings, args.out)
     z_path = _preactivation_path(args.out)
     save_features(z, z_path)
@@ -223,17 +244,19 @@ def cmd_embed(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    bundle = load_graph_bundle(args.in_dir)
-    n = bundle.graph.num_nodes
-    pre = Path(args.pre)
+    d, pre = Path(args.in_dir), Path(args.pre)
+    n = load_num_nodes(d / "features.txt")
     base = load_edges(pre / "preprocessed_edges.tsv", n)
     config = _apply_overrides(PipelineConfig(), args)
     # refine_stage measures similarity on the pre-activation, with no fallback
     # to the embeddings. A missing file exits with code 2 and names it.
     z = load_features(_preactivation_path(args.embeddings), n)
     if args.clean:
-        # The audit needs the clean graph, on the poisoned bundle's nodes, and
-        # the edges that preprocess removed. Both are read before any output.
+        # The audit needs the poisoned and the clean graph, on the poisoned
+        # bundle's nodes, their labels and the edges that preprocess removed.
+        # All are read before any output.
+        poisoned = load_edges(d / "edges.tsv", n)
+        labels = load_labels(d / "labels.tsv", n)
         clean_graph = load_edges(Path(args.clean) / "edges.tsv", n)
         removed_preprocess = load_edges(pre / "removed_edges.tsv", n).edge_array()
     retained, removed_refine, refined = refine_stage(base, z, config)
@@ -241,7 +264,7 @@ def cmd_refine(args) -> int:
     save_edges(refined, out / "refined_edges.tsv")
     if args.clean:
         removed = np.concatenate((removed_preprocess, removed_refine))
-        report = removal_report(clean_graph, bundle.graph, removed, bundle.labels)
+        report = removal_report(clean_graph, poisoned, removed, labels)
         write_report(report, out / "removal_report.json")
         print(f"removal accuracy {report['accuracy']:.4f} over {report['total']} removals")
     print(
@@ -252,11 +275,14 @@ def cmd_refine(args) -> int:
 
 
 def cmd_train(args) -> int:
-    bundle = load_graph_bundle(args.in_dir)
-    n = bundle.graph.num_nodes
-    graph = load_edges(args.graph, n, directed=True) if args.graph else bundle.graph
-    h0 = load_features(args.embeddings, n) if args.embeddings else bundle.features
+    d = Path(args.in_dir)
+    n = load_num_nodes(d / "features.txt")
+    labels = load_labels(d / "labels.tsv", n)
+    split = load_split(d / "split.json", labels)
+    graph = load_edges(args.graph, n, directed=True) if args.graph else load_edges(d / "edges.tsv", n)
+    h0 = load_features(args.embeddings or d / "features.txt", n)
     config = _apply_overrides(PipelineConfig(), args)
+    bundle = GraphBundle(graph=graph, features=h0, labels=labels, split=split)
     model, test_acc = classify_stage(graph, h0, bundle, config, args.seed)
     print(f"test accuracy {test_acc:.4f}")
     if args.out:

@@ -133,10 +133,8 @@ def load_edges(path, num_nodes: int, directed: bool = False) -> SparseGraph:
     return SparseGraph.from_edges(num_nodes, edges, directed=directed)
 
 
-def load_features(path, num_nodes: int | None = None) -> np.ndarray:
-    """Read a dense matrix file: header 'N d' then N rows of d reals. With
-    num_nodes given, the matrix must have one row per node."""
-    path = Path(path)
+def _read_header(path: Path) -> tuple[int, int]:
+    """The (N, d) of a dense matrix file's header line 'N d'."""
     with _open(path, errors="replace") as fh:
         header = fh.readline().strip()
     try:
@@ -145,6 +143,20 @@ def load_features(path, num_nodes: int | None = None) -> np.ndarray:
         raise BundleFormatError(f"{path}:1: expected header 'N d', got {header!r}") from None
     if n < 0 or dim < 0:
         raise BundleFormatError(f"{path}:1: expected header 'N d', got {header!r}")
+    return n, dim
+
+
+def load_num_nodes(path) -> int:
+    """The node count N of a bundle, from the header line 'N d' of its
+    features file; the rows are not read."""
+    return _read_header(Path(path))[0]
+
+
+def load_features(path, num_nodes: int | None = None) -> np.ndarray:
+    """Read a dense matrix file: header 'N d' then N rows of d reals. With
+    num_nodes given, the matrix must have one row per node."""
+    path = Path(path)
+    n, dim = _read_header(path)
     x = _read_table(path, float, dim, comments=False, start=2)
     if len(x) != n:
         raise BundleFormatError(f"{path}: header says {n} rows, found {len(x)}")
@@ -153,12 +165,12 @@ def load_features(path, num_nodes: int | None = None) -> np.ndarray:
     return x
 
 
-def _read_labels(path: Path, n: int) -> np.ndarray:
+def load_labels(path, num_nodes: int) -> np.ndarray:
     """Label per node, -1 where the file lists none; a node listed twice
-    keeps its last label. A label is -1 (unlabelled) or in [0, n)."""
-    nodes, labs = _read_table(path, np.int64, 2, (0, -1), n).T
+    keeps its last label. A label is -1 (unlabelled) or in [0, num_nodes)."""
+    nodes, labs = _read_table(Path(path), np.int64, 2, (0, -1), num_nodes).T
     last = len(nodes) - 1 - np.unique(nodes[::-1], return_index=True)[1]
-    labels = np.full(n, -1, dtype=np.int64)
+    labels = np.full(num_nodes, -1, dtype=np.int64)
     labels[nodes[last]] = labs[last]
     return labels
 
@@ -174,30 +186,35 @@ def read_json(path):
             raise BundleFormatError(f"{path}: not valid JSON: {exc}") from None
 
 
-def load_graph_bundle(dir_path) -> GraphBundle:
-    d = Path(dir_path)
-    features = load_features(d / "features.txt")
-    n = features.shape[0]
-
-    label_path = d / "labels.tsv"
-    labels = _read_labels(label_path, n)
-
-    graph = load_edges(d / "edges.tsv", n)
-
-    split_path = d / "split.json"
-    raw = read_json(split_path)
+def load_split(path, labels: np.ndarray) -> DataSplit:
+    """The train/val/test split of a split.json file, over the len(labels)
+    nodes of its bundle; every node the split lists must have a label."""
+    path = Path(path)
+    raw = read_json(path)
     if not isinstance(raw, dict):
-        raise BundleFormatError(f"{split_path}: expected an object with train, val and test lists")
+        raise BundleFormatError(f"{path}: expected an object with train, val and test lists")
     sets = {name: raw.get(name, []) for name in ("train", "val", "test")}  # an absent set is empty
     for name, ids in sets.items():
         # type(i) is int: JSON true and false parse as bools, which are ints too.
         if not isinstance(ids, list) or any(type(i) is not int for i in ids):
-            raise BundleFormatError(f"{split_path}: split set {name} must be a list of integer node ids")
+            raise BundleFormatError(f"{path}: split set {name} must be a list of integer node ids")
     split = DataSplit(**sets)
-    split.validate(n)
+    split.validate(len(labels))
     unlabelled = [i for i in split.train + split.val + split.test if labels[i] < 0]
     if unlabelled:
-        raise BundleFormatError(f"{label_path}: split node {unlabelled[0]} has no label")
+        raise BundleFormatError(f"{path}: split node {unlabelled[0]} has no label")
+    return split
+
+
+def load_graph_bundle(dir_path) -> GraphBundle:
+    """Every file of a bundle directory, each parsed by its own reader; the
+    features file sets the node count that the others are checked against."""
+    d = Path(dir_path)
+    features = load_features(d / "features.txt")
+    n = features.shape[0]
+    labels = load_labels(d / "labels.tsv", n)
+    graph = load_edges(d / "edges.tsv", n)
+    split = load_split(d / "split.json", labels)
     return GraphBundle(graph=graph, features=features, labels=labels, split=split)
 
 

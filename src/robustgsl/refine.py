@@ -66,16 +66,35 @@ def _topk_columns(sim: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
     n = sim.shape[1]
     # The list index copies the column, so the partitioned block is freed.
     kth = np.partition(sim, n - kk, axis=1)[:, [n - kk]]
-    above = sim > kth
-    at = sim == kth
-    take = above | at
+    take = sim >= kth
     # Where more entries tie with the kk-th largest than places are left, the
     # places go to the smallest ids.
-    over = np.flatnonzero(take.sum(axis=1) > kk)
+    over = np.flatnonzero(np.count_nonzero(take, axis=1) > kk)
     if over.size:
-        need = kk - above[over].sum(axis=1, keepdims=True)
-        take[over] = above[over] | (at[over] & (np.cumsum(at[over], axis=1) <= need))
+        above = sim[over] > kth[over]
+        at = take[over] & ~above
+        need = kk - np.count_nonzero(above, axis=1, keepdims=True)
+        take[over] = above | (at & (np.cumsum(at, axis=1) <= need))
     return np.nonzero(take)
+
+
+def _topk_pairs(h: np.ndarray, kk: int) -> list[np.ndarray]:
+    """Each node's kk most similar peers as (node, peer) arrays, one per
+    block of rows. The cosines of a block are computed into one reused
+    buffer and ranked whole; the buffer and the normalized rows are freed on
+    return."""
+    hn = _normalized_rows(h)
+    n = len(hn)
+    rows = _block_rows(n)
+    buf = np.empty((rows, n))
+    pairs = []
+    for lo in range(0, n, rows):
+        sim = _similarity_block(hn, lo, rows, buf[: min(rows, n - lo)])
+        diag = np.arange(sim.shape[0])
+        sim[diag, lo + diag] = -np.inf
+        src, dst = _topk_columns(sim, kk)
+        pairs.append(np.column_stack((src + lo, dst)))
+    return pairs
 
 
 def topk_insert(retained: SparseGraph, h: np.ndarray, k: int) -> SparseGraph:
@@ -94,16 +113,7 @@ def topk_insert(retained: SparseGraph, h: np.ndarray, k: int) -> SparseGraph:
     kept = retained.edge_array()
     edges = [kept, kept[:, ::-1]]
     if k > 0 and n > 1:
-        hn = _normalized_rows(h)
-        kk = min(k, n - 1)
-        rows = _block_rows(n)
-        buf = np.empty((rows, n))
-        for lo in range(0, n, rows):
-            sim = _similarity_block(hn, lo, rows, buf[: min(rows, n - lo)])
-            diag = np.arange(sim.shape[0])
-            sim[diag, lo + diag] = -np.inf
-            src, dst = _topk_columns(sim, kk)
-            edges.append(np.column_stack((src + lo, dst)))
+        edges += _topk_pairs(h, min(k, n - 1))
     return SparseGraph.from_edges(n, np.concatenate(edges), directed=True)
 
 

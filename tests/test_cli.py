@@ -2,10 +2,12 @@ import dataclasses
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from robustgsl import data_io
 from robustgsl.cli import FIELD_RULES, main
 from robustgsl.data_io import load_features, load_graph_bundle, read_report, save_features
 from robustgsl.linalg import NumericError, make_rng
@@ -220,6 +222,173 @@ class TestPinnedStageChain:
         for argv in steps:
             assert main([str(a) for a in argv]) == 0
         assert _file_digests(out) == self.DIGESTS
+
+
+@pytest.fixture(scope="module")
+def stage_dir(clean_dir, poisoned_dir, tmp_path_factory):
+    """A directory holding the clean and the poisoned bundle, preprocess's
+    output for the poisoned one, embeddings with their pre-activation, and a
+    refined graph: every input of a stage command, at a relative path."""
+    root = tmp_path_factory.mktemp("stages")
+    shutil.copytree(clean_dir, root / "clean")
+    shutil.copytree(poisoned_dir, root / "bundle")
+    assert main(["preprocess", "--in", str(root / "bundle"), "--out", str(root / "pre")]) == 0
+    z = make_rng(0).normal(size=(60, 4))
+    save_features(z, root / "emb.txt")
+    save_features(z, root / "emb.preact.txt")
+    (root / "fast.json").write_text('{"encoder": {"epochs": 1}, "classifier": {"epochs": 1}}')
+    assert main(["refine", "--in", str(root / "bundle"), "--pre", str(root / "pre"),
+                 "--embeddings", str(root / "emb.txt"), "--out", str(root / "refined")]) == 0
+    return root
+
+
+BUNDLE = {"bundle/features.txt", "bundle/labels.tsv", "bundle/edges.tsv", "bundle/split.json"}
+PRE = {"pre/preprocess.json", "pre/preprocessed_edges.tsv", "pre/view_0.tsv", "pre/view_1.tsv"}
+
+
+class TestFilesRead:
+    """Each command opens only the files whose contents it uses, and parses
+    the rows of fewer still: of features.txt, attack, refine and train with
+    --embeddings read only the header line, for the node count."""
+
+    @pytest.mark.parametrize("argv, opened, parsed", [
+        (["attack", "--method", "random", "--ptb-rate", "0.2", "--in", "bundle"],
+         {"bundle/features.txt", "bundle/edges.tsv"}, {"bundle/edges.tsv"}),
+        (["attack", "--method", "dice", "--ptb-rate", "0.2", "--in", "bundle"],
+         {"bundle/features.txt", "bundle/edges.tsv", "bundle/labels.tsv"},
+         {"bundle/edges.tsv", "bundle/labels.tsv"}),
+        (["preprocess", "--in", "bundle"],
+         {"bundle/features.txt", "bundle/edges.tsv"}, {"bundle/features.txt", "bundle/edges.tsv"}),
+        (["embed", "--in", "bundle", "--pre", "pre", "--epochs", "1"],
+         {"bundle/features.txt"} | PRE, {"bundle/features.txt"} | PRE - {"pre/preprocess.json"}),
+        (["refine", "--in", "bundle", "--pre", "pre", "--embeddings", "emb.txt"],
+         {"bundle/features.txt", "pre/preprocessed_edges.tsv", "emb.preact.txt"},
+         {"pre/preprocessed_edges.tsv", "emb.preact.txt"}),
+        (["refine", "--in", "bundle", "--pre", "pre", "--embeddings", "emb.txt", "--clean", "clean"],
+         BUNDLE - {"bundle/split.json"} | {"pre/preprocessed_edges.tsv", "pre/removed_edges.tsv",
+                                           "emb.preact.txt", "clean/edges.tsv"},
+         {"bundle/edges.tsv", "bundle/labels.tsv", "pre/preprocessed_edges.tsv", "pre/removed_edges.tsv",
+          "emb.preact.txt", "clean/edges.tsv"}),
+        (["train", "--in", "bundle", "--graph", "refined/refined_edges.tsv", "--embeddings", "emb.txt",
+          "--epochs", "1"],
+         BUNDLE - {"bundle/edges.tsv"} | {"refined/refined_edges.tsv", "emb.txt"},
+         {"bundle/labels.tsv", "refined/refined_edges.tsv", "emb.txt"}),
+        (["train", "--in", "bundle", "--graph", "refined/refined_edges.tsv", "--epochs", "1"],
+         BUNDLE - {"bundle/edges.tsv"} | {"refined/refined_edges.tsv"},
+         {"bundle/features.txt", "bundle/labels.tsv", "refined/refined_edges.tsv"}),
+        (["train", "--in", "bundle", "--epochs", "1"],
+         BUNDLE, BUNDLE - {"bundle/split.json"}),
+        (["pipeline", "--in", "bundle", "--config", "fast.json"],
+         BUNDLE | {"fast.json"}, BUNDLE - {"bundle/split.json"}),
+    ], ids=["attack-random", "attack-dice", "preprocess", "embed", "refine", "refine-clean",
+            "train-graph-embeddings", "train-graph", "train", "pipeline"])
+    def test_files_read(self, stage_dir, tmp_path, argv, opened, parsed, monkeypatch):
+        seen = {"opened": set(), "parsed": set()}
+
+        def spy(kind, real):
+            def reader(path, *args, **kwargs):
+                seen[kind].add(Path(path).as_posix())
+                return real(path, *args, **kwargs)
+            return reader
+
+        # Every reader of data_io opens its file through _open, and parses
+        # rows through _read_table.
+        monkeypatch.setattr(data_io, "_open", spy("opened", data_io._open))
+        monkeypatch.setattr(data_io, "_read_table", spy("parsed", data_io._read_table))
+        monkeypatch.chdir(stage_dir)
+        assert main([*argv, "--out", str(tmp_path / "out" / "o.txt" if argv[0] == "embed" else tmp_path / "out")]) == 0
+        assert seen == {"opened": opened, "parsed": parsed}
+
+
+def _non_canonical_copy(bundle, dest):
+    """bundle copied to dest, with each file that attack leaves unchanged
+    rewritten in a form the package does not write itself: integer features,
+    a commented label file in reverse node order, a one-line split."""
+    shutil.copytree(bundle, dest)
+    x = load_features(bundle / "features.txt")
+    assert np.array_equal(x, x.astype(int))
+    rows = "".join(" ".join(map(str, row)) + "\n" for row in x.astype(int).tolist())
+    (dest / "features.txt").write_text(f"{x.shape[0]} {x.shape[1]}\n{rows}")
+    lines = (bundle / "labels.tsv").read_text().splitlines()
+    (dest / "labels.tsv").write_text("# node\tlabel\n" + "\n".join(reversed(lines)) + "\n")
+    (dest / "split.json").write_text(json.dumps(json.loads((bundle / "split.json").read_text())))
+    return dest
+
+
+UNCHANGED_BY_ATTACK = ("features.txt", "labels.tsv", "split.json")
+
+
+class TestAttackCopies:
+    @pytest.mark.parametrize("method", ["random", "dice"])
+    def test_copies_byte_equal(self, clean_dir, tmp_path, method):
+        src = _non_canonical_copy(clean_dir, tmp_path / "in")
+        out = tmp_path / "out"
+        attack = ["attack", "--method", method, "--ptb-rate", "0.2", "--seed", "3"]
+        assert main([*attack, "--in", str(src), "--out", str(out)]) == 0
+        for name in UNCHANGED_BY_ATTACK:
+            assert (out / name).read_bytes() == (src / name).read_bytes(), name
+        given, poisoned = load_graph_bundle(src), load_graph_bundle(out)
+        np.testing.assert_array_equal(poisoned.features, given.features)
+        np.testing.assert_array_equal(poisoned.labels, given.labels)
+        assert poisoned.split == given.split
+        # The graph is the one the same attack makes on the canonical bundle.
+        assert main([*attack, "--in", str(clean_dir), "--out", str(tmp_path / "ref")]) == 0
+        assert (out / "edges.tsv").read_bytes() == (tmp_path / "ref" / "edges.tsv").read_bytes()
+
+    def test_in_place(self, clean_dir, tmp_path):
+        d = tmp_path / "d"
+        shutil.copytree(clean_dir, d)
+        unchanged = {name: (d / name).read_bytes() for name in UNCHANGED_BY_ATTACK}
+        clean_edges = load_graph_bundle(d).graph.num_edges
+        assert main(["attack", "--method", "dice", "--ptb-rate", "0.2", "--in", str(d), "--out", str(d)]) == 0
+        assert {name: (d / name).read_bytes() for name in UNCHANGED_BY_ATTACK} == unchanged
+        record = read_report(d / "perturbation.json")
+        assert load_graph_bundle(d).graph.num_edges == clean_edges + len(record["added"]) - len(record["removed"])
+
+    @pytest.mark.parametrize("name", UNCHANGED_BY_ATTACK)
+    def test_missing_copied_file(self, clean_dir, tmp_path, name, capsys):
+        src = tmp_path / "in"
+        shutil.copytree(clean_dir, src)
+        (src / name).unlink()
+        argv = ["attack", "--method", "random", "--ptb-rate", "0.2", "--in", str(src), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert f"error: missing file: {src / name}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestDamagedFeatureRows:
+    """A features.txt whose header is intact but whose rows are not is
+    reported by the commands that parse the rows, and only by them."""
+
+    @pytest.fixture
+    def damaged(self, stage_dir, tmp_path):
+        d = tmp_path / "damaged"
+        shutil.copytree(stage_dir / "bundle", d)
+        header = (d / "features.txt").read_text().splitlines()[0]
+        (d / "features.txt").write_text(f"{header}\n1 x\n")
+        return d
+
+    @pytest.mark.parametrize("argv", [
+        ["attack", "--method", "random", "--ptb-rate", "0.2", "--out", "{tmp}/a"],
+        ["refine", "--pre", "{stages}/pre", "--embeddings", "{stages}/emb.txt", "--clean", "{stages}/clean",
+         "--out", "{tmp}/r"],
+        ["train", "--graph", "{stages}/refined/refined_edges.tsv", "--embeddings", "{stages}/emb.txt",
+         "--epochs", "2"],
+    ], ids=["attack", "refine", "train"])
+    def test_header_readers_succeed(self, damaged, stage_dir, tmp_path, argv):
+        paths = {"tmp": tmp_path, "stages": stage_dir}
+        assert main([argv[0], "--in", str(damaged), *(a.format(**paths) for a in argv[1:])]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["preprocess", "--out", "{tmp}/p"],
+        ["embed", "--pre", "{stages}/pre", "--out", "{tmp}/e.txt"],
+        ["train", "--graph", "{stages}/refined/refined_edges.tsv", "--epochs", "2"],
+        ["pipeline"],
+    ], ids=["preprocess", "embed", "train-features", "pipeline"])
+    def test_row_readers_exit_2(self, damaged, stage_dir, tmp_path, argv, capsys):
+        paths = {"tmp": tmp_path, "stages": stage_dir}
+        assert main([argv[0], "--in", str(damaged), *(a.format(**paths) for a in argv[1:])]) == 2
+        assert f"error: {damaged / 'features.txt'}:2: " in capsys.readouterr().err
 
 
 class TestPipelineCommands:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -138,7 +140,49 @@ def random_edge_lists(seed, count=40):
         yield n, [tuple(p) for p in pairs.tolist()]
 
 
+def sort_divmod_from_edges(num_nodes, arr, directed):
+    """The earlier array constructor: drop self-loops, stack the reversed
+    pairs, sort the keys, then divmod and bincount the unique ones."""
+    arr = arr[arr[:, 0] != arr[:, 1]]
+    if not directed:
+        arr = np.concatenate((arr, arr[:, ::-1]))
+    keys = np.sort(arr[:, 0] * num_nodes + arr[:, 1])
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    rows, cols = np.divmod(keys[first], num_nodes)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+    return indptr, cols.astype(np.int32)
+
+
 class TestEdgeArrayCore:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_csr_matches_sort_divmod_on_random_pairs(self, directed):
+        # Up to 5 pairs per node among n ids: repeats, reversed repeats and
+        # self-loops are all common.
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            n = int(rng.integers(1, 3000))
+            arr = rng.integers(0, n, size=(int(rng.integers(0, 5 * n)), 2))
+            g = SparseGraph.from_edges(n, arr, directed=directed)
+            indptr, indices = sort_divmod_from_edges(n, arr, directed)
+            assert g.adj.indptr.dtype == indptr.dtype and g.adj.indices.dtype == indices.dtype
+            assert np.array_equal(g.adj.indptr, indptr) and np.array_equal(g.adj.indices, indices)
+            assert g.adj.data.dtype == np.float64 and (g.adj.data == 1.0).all()
+
+    def test_peak_memory_per_edge(self):
+        # The two directions' keys (16 B per input pair), the self-loop test's
+        # remainders and the compacted keys; the input array is the caller's.
+        n = 10000
+        arr = np.random.default_rng(0).integers(0, n, size=(200000, 2))
+        tracemalloc.start()
+        try:
+            SparseGraph.from_edges(n, arr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * len(arr)
+
     @pytest.mark.parametrize("directed", [False, True])
     def test_csr_matches_reference_byte_for_byte(self, directed):
         for n, edges in random_edge_lists(7):

@@ -41,6 +41,20 @@ def _reference_topk_insert(retained, h, k, rows=None, rank_rows=None):
     return SparseGraph.from_edges(n, np.concatenate(edges), directed=True)
 
 
+def _three_mask_topk_columns(sim, kk):
+    """The earlier rank: separate strict, tie and taken masks over every row."""
+    n = sim.shape[1]
+    kth = np.partition(sim, n - kk, axis=1)[:, [n - kk]]
+    above = sim > kth
+    at = sim == kth
+    take = above | at
+    over = np.flatnonzero(take.sum(axis=1) > kk)
+    if over.size:
+        need = kk - above[over].sum(axis=1, keepdims=True)
+        take[over] = above[over] | (at[over] & (np.cumsum(at[over], axis=1) <= need))
+    return np.nonzero(take)
+
+
 def _csr_bytes(g):
     a = g.adj
     return a.shape, g.directed, a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes()
@@ -138,6 +152,22 @@ class TestTopkInsert:
         # node 0 ties between 1 and 2 -> picks 1; nodes 1 and 2 pick 0
         assert out.edge_set() == {(0, 1), (1, 0), (2, 0)}
 
+    def test_rank_matches_three_mask_rank(self):
+        # Few distinct values make many ties at the kk-th place, some rows
+        # tie throughout, and -inf marks the diagonal as topk_insert does.
+        rng = make_rng(11)
+        for _ in range(200):
+            rows, n = int(rng.integers(1, 12)), int(rng.integers(2, 40))
+            sim = rng.integers(-3, 4, size=(rows, n)) / 4.0
+            sim[rng.random(rows) < 0.2] = 0.5
+            lo = int(rng.integers(0, n - min(rows, n) + 1))
+            diag = np.arange(min(rows, n))
+            sim[diag, lo + diag] = -np.inf
+            kk = int(rng.integers(1, n))
+            got, want = _topk_columns(sim, kk), _three_mask_topk_columns(sim, kk)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_k_larger_than_graph(self, rng):
         h = rng.normal(size=(4, 3))
         out = topk_insert(SparseGraph.from_edges(4, []), h, 10)
@@ -193,7 +223,7 @@ class TestTopkInsert:
 
     def test_working_set_bounded(self):
         # The block buffer and one block's partition copy (at most
-        # _BLOCK_BYTES each), the block's three boolean masks, and 1 MiB.
+        # _BLOCK_BYTES each), the block's boolean masks, and 1 MiB.
         # The copy is freed before the masks are made, so the masks' share
         # and the 1 MiB hold the normalized embeddings (1.5 MB here) and the
         # edges. One 512 x n block alone (12 MB at n=3000) would exceed this.
