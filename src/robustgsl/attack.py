@@ -111,8 +111,9 @@ def dice_attack(
 ) -> tuple[SparseGraph, PerturbationRecord]:
     """Disconnect internally, connect externally: deletions target intra-class
     edges, additions target inter-class non-edges. Needs full labels."""
-    if np.any(labels < 0):
-        raise ValueError("dice attack requires a label for every node")
+    unlabelled = np.flatnonzero(labels < 0)
+    if unlabelled.size:
+        raise ValueError(f"dice attack requires a label for every node; node {unlabelled[0]} has none")
     rng = make_rng(budget.seed)
     target = budget.num_changes(g.num_edges)
     edges = g.edge_array()

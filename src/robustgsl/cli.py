@@ -19,7 +19,6 @@ from .attack import AttackBudget, dice_attack, random_attack
 from .classifier import MODES
 from .data_io import (
     BundleFormatError,
-    GraphBundle,
     SbmSpec,
     generate_sbm,
     load_edges,
@@ -144,8 +143,12 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
     return config
 
 
-def _seed_list(args) -> list[int]:
-    return [args.seed + i for i in range(args.seeds)]
+def _experiment_inputs(args) -> tuple:
+    """The bundle, the configuration with its flags applied, and the seeds
+    (--seed, --seed + 1, ..., --seeds of them) of an experiment command."""
+    bundle = load_graph_bundle(args.in_dir)
+    config = _apply_overrides(_load_config(args.config), args)
+    return bundle, config, list(range(args.seed, args.seed + args.seeds))
 
 
 def cmd_synth(args) -> int:
@@ -282,8 +285,7 @@ def cmd_train(args) -> int:
     graph = load_edges(args.graph, n, directed=True) if args.graph else load_edges(d / "edges.tsv", n)
     h0 = load_features(args.embeddings or d / "features.txt", n)
     config = _apply_overrides(PipelineConfig(), args)
-    bundle = GraphBundle(graph=graph, features=h0, labels=labels, split=split)
-    model, test_acc = classify_stage(graph, h0, bundle, config, args.seed)
+    model, test_acc = classify_stage(graph, h0, labels, split, config, args.seed)
     print(f"test accuracy {test_acc:.4f}")
     if args.out:
         write_report(
@@ -300,9 +302,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    bundle = load_graph_bundle(args.in_dir)
-    config = _apply_overrides(_load_config(args.config), args)
-    seeds = _seed_list(args)
+    bundle, config, seeds = _experiment_inputs(args)
     record = run_experiment(bundle, config, seeds, variant=args.variant)
     if args.baseline:
         record["gcn_baseline_accuracies"] = [run_gcn_baseline(bundle, config, s) for s in seeds]
@@ -313,9 +313,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    bundle = load_graph_bundle(args.in_dir)
-    config = _apply_overrides(_load_config(args.config), args)
-    seeds = _seed_list(args)
+    bundle, config, seeds = _experiment_inputs(args)
     variants = [args.variant] if args.variant else list(VARIANTS)
     records = {v: run_experiment(bundle, config, seeds, variant=v) for v in variants}
     for v, rec in records.items():
@@ -332,9 +330,7 @@ def cmd_sweep(args) -> int:
         values = [parse(v) for v in args.values.split(",")]
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"--values for --param {args.param}: {exc}") from exc
-    bundle = load_graph_bundle(args.in_dir)
-    config = _apply_overrides(_load_config(args.config), args)
-    seeds = _seed_list(args)
+    bundle, config, seeds = _experiment_inputs(args)
     rows = sweep(bundle, config, args.param, values, seeds)
     for row in rows:
         print(f"{args.param}={row['value']}: {row['mean']:.4f} +/- {row['std']:.4f}")

@@ -26,28 +26,6 @@ class DataSplit:
     val: list[int]
     test: list[int]
 
-    def validate(self, num_nodes: int) -> None:
-        if not self.train:
-            raise BundleFormatError("split has an empty train set")
-        all_ids = self.train + self.val + self.test
-        for i in all_ids:
-            if not (0 <= i < num_nodes):
-                raise BundleFormatError(f"split references node {i}, out of range 0..{num_nodes - 1}")
-        for name, ids in (("train", self.train), ("val", self.val), ("test", self.test)):
-            repeated = [i for i, count in Counter(ids).items() if count > 1]
-            if repeated:
-                raise BundleFormatError(f"split set {name} lists node {min(repeated)} more than once")
-        for a_name, a, b_name, b in [
-            ("train", self.train, "val", self.val),
-            ("train", self.train, "test", self.test),
-            ("val", self.val, "test", self.test),
-        ]:
-            overlap = set(a) & set(b)
-            if overlap:
-                raise BundleFormatError(
-                    f"split sets {a_name} and {b_name} overlap at node {min(overlap)}"
-                )
-
 
 @dataclass
 class GraphBundle:
@@ -117,6 +95,9 @@ def _field_problem(fields, cast, columns, lowest, num_nodes) -> str | None:
         return f"expected {columns} fields, got {len(fields)}"
     for j, field in enumerate(fields):
         try:
+            # int() and float() also take '1_0' and non-ASCII digits, which numpy's reader refuses.
+            if "_" in field or not field.isascii():
+                raise ValueError(field)
             value = cast(field)
         except ValueError:
             return f"{field!r} is not {'an integer' if cast is int else 'a number'}"
@@ -141,7 +122,7 @@ def _read_header(path: Path) -> tuple[int, int]:
         n, dim = (int(f) for f in header.split())
     except ValueError:
         raise BundleFormatError(f"{path}:1: expected header 'N d', got {header!r}") from None
-    if n < 0 or dim < 0:
+    if n < 0 or dim < 0 or "_" in header or not header.isascii():  # as in _field_problem
         raise BundleFormatError(f"{path}:1: expected header 'N d', got {header!r}")
     return n, dim
 
@@ -187,8 +168,9 @@ def read_json(path):
 
 
 def load_split(path, labels: np.ndarray) -> DataSplit:
-    """The train/val/test split of a split.json file, over the len(labels)
-    nodes of its bundle; every node the split lists must have a label."""
+    """The train/val/test split of a split.json file over the len(labels)
+    nodes of its bundle: a non-empty train set, and nodes in range, in one
+    set once and labelled; each error names path."""
     path = Path(path)
     raw = read_json(path)
     if not isinstance(raw, dict):
@@ -198,12 +180,24 @@ def load_split(path, labels: np.ndarray) -> DataSplit:
         # type(i) is int: JSON true and false parse as bools, which are ints too.
         if not isinstance(ids, list) or any(type(i) is not int for i in ids):
             raise BundleFormatError(f"{path}: split set {name} must be a list of integer node ids")
-    split = DataSplit(**sets)
-    split.validate(len(labels))
-    unlabelled = [i for i in split.train + split.val + split.test if labels[i] < 0]
+    if not sets["train"]:
+        raise BundleFormatError(f"{path}: split has an empty train set")
+    n = len(labels)
+    for i in sets["train"] + sets["val"] + sets["test"]:
+        if not 0 <= i < n:
+            raise BundleFormatError(f"{path}: split references node {i}, out of range 0..{n - 1}")
+    for name, ids in sets.items():
+        repeated = [i for i, count in Counter(ids).items() if count > 1]
+        if repeated:
+            raise BundleFormatError(f"{path}: split set {name} lists node {min(repeated)} more than once")
+    for a, b in (("train", "val"), ("train", "test"), ("val", "test")):
+        overlap = set(sets[a]) & set(sets[b])
+        if overlap:
+            raise BundleFormatError(f"{path}: split sets {a} and {b} overlap at node {min(overlap)}")
+    unlabelled = [i for ids in sets.values() for i in ids if labels[i] < 0]
     if unlabelled:
         raise BundleFormatError(f"{path}: split node {unlabelled[0]} has no label")
-    return split
+    return DataSplit(**sets)
 
 
 def load_graph_bundle(dir_path) -> GraphBundle:

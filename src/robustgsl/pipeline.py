@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .classifier import ClassifierConfig, ClassifierModel, train_classifier
-from .data_io import GraphBundle
+from .data_io import DataSplit, GraphBundle
 from .encoder import EncoderConfig, train_encoder
 from .graph import SparseGraph, edge_difference
 from .linalg import make_rng
@@ -54,9 +54,6 @@ class PipelineConfig:
     classifier_mode: str = "advanced"
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -129,13 +126,12 @@ def refine_stage(
 
 
 def classify_stage(
-    graph: SparseGraph, h0: np.ndarray, bundle: GraphBundle, config: PipelineConfig, seed: int
+    graph: SparseGraph, h0: np.ndarray, labels: np.ndarray, split: DataSplit, config: PipelineConfig, seed: int
 ) -> tuple[ClassifierModel, float]:
     """Train the classifier of config.classifier_mode on graph with node
-    features h0, on bundle's labels and split. Returns (model, test accuracy)."""
+    features h0, on labels and split. Returns (model, test accuracy)."""
     return train_classifier(
-        graph, h0, bundle.labels, bundle.split, config.classifier, config.classifier_mode,
-        config.alpha, config.beta, seed,
+        graph, h0, labels, split, config.classifier, config.classifier_mode, config.alpha, config.beta, seed
     )
 
 
@@ -152,7 +148,7 @@ def run_variant(
     # The classifier keeps the activated embeddings as its features.
     _, embeddings, z = train_encoder(views, bundle.features, config.encoder, encoder_seed)
     retained, removed_refine, refined = refine_stage(base, z, config)
-    _, test_acc = classify_stage(refined, embeddings, bundle, config, classifier_seed)
+    _, test_acc = classify_stage(refined, embeddings, bundle.labels, bundle.split, config, classifier_seed)
 
     stats = {
         "edges_input": bundle.graph.num_edges,
@@ -184,7 +180,7 @@ def run_gcn_baseline(bundle: GraphBundle, config: PipelineConfig, seed: int) -> 
     """Vanilla two-layer GCN on the input graph with raw features; the
     vanilla mode ignores alpha and beta."""
     vanilla = replace(config, classifier_mode="vanilla")
-    return classify_stage(bundle.graph, bundle.features, bundle, vanilla, seed)[1]
+    return classify_stage(bundle.graph, bundle.features, bundle.labels, bundle.split, vanilla, seed)[1]
 
 
 def run_experiment(
@@ -213,7 +209,7 @@ def run_experiment(
         "std": float(np.std(acc)),
         "stage_stats": stats,
         "wall_time_sec": time.perf_counter() - start,
-        "config": config.to_dict(),
+        "config": asdict(config),
     }
 
 

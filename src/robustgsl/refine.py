@@ -34,18 +34,12 @@ def _block_rows(n: int) -> int:
     return max(1, min(n, _BLOCK_BYTES // (8 * max(n, 1))))
 
 
-def _similarity_block(hn: np.ndarray, lo: int, rows: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The block of cosine rows lo..lo+rows, given the row-normalized
-    embeddings; written into out when given."""
-    return np.matmul(hn[lo : lo + rows], hn.T, out=out)
-
-
 def similarity_matrix(h: np.ndarray) -> np.ndarray:
     """Full pairwise cosine matrix (zero rows give zero similarity), stacked
     from the row blocks that topk_insert ranks."""
     hn = _normalized_rows(h)
     rows = _block_rows(len(hn))
-    return np.vstack([_similarity_block(hn, lo, rows) for lo in range(0, max(len(hn), 1), rows)])
+    return np.vstack([np.matmul(hn[lo : lo + rows], hn.T) for lo in range(0, max(len(hn), 1), rows)])
 
 
 def _check_rows(g: SparseGraph, h: np.ndarray) -> None:
@@ -89,7 +83,7 @@ def _topk_pairs(h: np.ndarray, kk: int) -> list[np.ndarray]:
     buf = np.empty((rows, n))
     pairs = []
     for lo in range(0, n, rows):
-        sim = _similarity_block(hn, lo, rows, buf[: min(rows, n - lo)])
+        sim = np.matmul(hn[lo : lo + rows], hn.T, out=buf[: min(rows, n - lo)])
         diag = np.arange(sim.shape[0])
         sim[diag, lo + diag] = -np.inf
         src, dst = _topk_columns(sim, kk)

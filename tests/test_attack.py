@@ -103,8 +103,8 @@ class TestDiceAttack:
 
     def test_requires_full_labels(self, rng):
         g = random_undirected_graph(10, 0.3, rng)
-        lab = np.array([0, 1, -1, 0, 1, 0, 1, 0, 1, 0])
-        with pytest.raises(ValueError):
+        lab = np.array([0, 1, -1, 0, 1, 0, 1, -1, 1, 0])
+        with pytest.raises(ValueError, match="label for every node; node 2 has none"):
             dice_attack(g, lab, AttackBudget(0.1, 0))
 
 

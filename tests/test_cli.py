@@ -11,7 +11,7 @@ from robustgsl import data_io
 from robustgsl.cli import FIELD_RULES, main
 from robustgsl.data_io import load_features, load_graph_bundle, read_report, save_features
 from robustgsl.linalg import NumericError, make_rng
-from robustgsl.pipeline import PipelineConfig
+from robustgsl.pipeline import PipelineConfig, run_variant
 
 
 # Flags that take any finite float: NaN and inf must stop at parsing.
@@ -222,6 +222,29 @@ class TestPinnedStageChain:
         for argv in steps:
             assert main([str(a) for a in argv]) == 0
         assert _file_digests(out) == self.DIGESTS
+
+
+def test_stage_commands_reproduce_pipeline_run(poisoned_dir, tmp_path):
+    """preprocess, embed, refine and train, each given the seed that
+    run_variant derives for its stage, give run_variant's embeddings, refined
+    edges and test accuracy bit for bit."""
+    rng = make_rng(3)
+    view_seed, encoder_seed, classifier_seed = (str(rng.integers(2 ** 63)) for _ in range(3))
+    run = run_variant(load_graph_bundle(poisoned_dir), PipelineConfig(), "full", 3)
+    bundle, pre, emb = str(poisoned_dir), str(tmp_path / "pre"), str(tmp_path / "emb.txt")
+    steps = [
+        ["preprocess", "--in", bundle, "--seed", view_seed, "--out", pre],
+        ["embed", "--in", bundle, "--pre", pre, "--seed", encoder_seed, "--out", emb],
+        ["refine", "--in", bundle, "--pre", pre, "--embeddings", emb, "--out", str(tmp_path / "refined")],
+        ["train", "--in", bundle, "--graph", str(tmp_path / "refined" / "refined_edges.tsv"), "--embeddings", emb,
+         "--seed", classifier_seed, "--out", str(tmp_path / "train")],
+    ]
+    for argv in steps:
+        assert main(argv) == 0
+    np.testing.assert_array_equal(load_features(emb), run.embeddings)
+    refined = data_io.load_edges(tmp_path / "refined" / "refined_edges.tsv", 60, directed=True)
+    np.testing.assert_array_equal(refined.edge_array(), run.refined_graph.edge_array())
+    assert read_report(tmp_path / "train" / "train_metrics.json")["test_accuracy"] == run.accuracy
 
 
 @pytest.fixture(scope="module")
@@ -940,7 +963,11 @@ class TestErrorExitCodes:
         assert f"split set train lists node {split['train'][0]} more than once" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["[]", '{"train": [0.7, 1]}', '{"train": [true]}', '{"train": [[1]]}', "{"])
+    @pytest.mark.parametrize(
+        "text",
+        ["[]", '{"train": [0.7, 1]}', '{"train": [true]}', '{"train": [[1]]}', "{", '{"train": []}',
+         '{"train": [0], "val": [0]}'],
+    )
     def test_malformed_split(self, clean_dir, tmp_path, text, capsys):
         import shutil
 
@@ -950,6 +977,16 @@ class TestErrorExitCodes:
         out = tmp_path / "out"
         assert main(["train", "--in", str(broken), "--out", str(out)]) == 2
         assert f"error: {broken / 'split.json'}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dice_names_unlabelled_node(self, clean_dir, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(clean_dir, broken)
+        lines = (broken / "labels.tsv").read_text().splitlines(keepends=True)
+        (broken / "labels.tsv").write_text("".join(line for line in lines if line.split()[0] != "4"))
+        out = tmp_path / "out"
+        assert main(["attack", "--method", "dice", "--ptb-rate", "0.2", "--in", str(broken), "--out", str(out)]) == 2
+        assert "node 4 has none" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -86,16 +86,19 @@ class TestBundleIo:
         ({"train": [], "val": [1], "test": [2]}, "split has an empty train set"),
         ({"train": [0], "val": [3], "test": [2]}, "split references node 3, out of range 0..2"),
         ({"train": [-1], "val": [1], "test": [2]}, "split references node -1, out of range 0..2"),
+        ({"train": [0], "val": [1, 1], "test": [2]}, "split set val lists node 1 more than once"),
+        ({"train": [0, 2], "val": [1], "test": [2]}, "split sets train and test overlap at node 2"),
     ])
     def test_split_contents_checked(self, tmp_path, split, message):
         save_graph_bundle(toy_bundle(), tmp_path)
         (tmp_path / "split.json").write_text(json.dumps(split))
         with pytest.raises(BundleFormatError) as exc:
             load_graph_bundle(tmp_path)
-        assert str(exc.value) == message
+        assert str(exc.value) == f"{tmp_path / 'split.json'}: {message}"
 
     @pytest.mark.parametrize("text, message", [
         ("-3 2\n1 0\n0.5 0.25\n0 1\n", ":1: expected header 'N d', got '-3 2'"),
+        ("3 1_0\n1 0\n0.5 0.25\n0 1\n", ":1: expected header 'N d', got '3 1_0'"),
         ("2 2\n1 0\n0.5 0.25\n0 1\n", ": header says 2 rows, found 3"),
         ("4 2\n1 0\n0.5 0.25\n0 1\n", ": header says 4 rows, found 3"),
     ])
@@ -162,9 +165,13 @@ class TestBundleIo:
             ("edges.tsv", "0\t1\n1\t2.0\n", "edges.tsv:2"),
             ("labels.tsv", "0\t0\n\n5\t1\n", "labels.tsv:3"),
             ("labels.tsv", "0\t0\n1\t1\n2\t200000\n", "labels.tsv:3"),
+            # Python's int() and float() take these two; numpy's reader does not.
+            ("edges.tsv", "0\t1\n2\t1_0\n", "edges.tsv:2: '1_0' is not an integer"),
+            ("features.txt", "3 2\n1 0\n0.5 \u0663\n0 1\n", "features.txt:3: '\u0663' is not a number"),
         ],
         ids=["label-not-int", "header-not-int", "feature-not-number", "edge-three-fields",
-             "edge-float-id", "label-node-out-of-range", "label-out-of-range"],
+             "edge-float-id", "label-node-out-of-range", "label-out-of-range", "edge-underscore-digits",
+             "feature-non-ascii-digit"],
     )
     def test_malformed_line_named(self, tmp_path, name, text, where):
         save_graph_bundle(toy_bundle(), tmp_path)

@@ -233,7 +233,7 @@ class TestSweep:
 class TestConfigSerialization:
     def test_roundtrip(self):
         config = fast_config(t1=0.1, k=9, classifier_mode="advanced")
-        assert PipelineConfig.from_dict(config.to_dict()) == config
+        assert PipelineConfig.from_dict(dataclasses.asdict(config)) == config
 
     def test_defaults(self):
         config = PipelineConfig()
