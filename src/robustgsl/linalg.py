@@ -20,6 +20,14 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.PCG64(seed))
 
 
+# Bytes of one block of rows in the blocked loops: refine's cosine blocks
+# and the encoder's A_hat X row blocks. The budget is 512² float64s so that
+# a graph of at most 512 nodes is one cosine block, the single product of
+# the full matrix, with its bits: for small n the GEMM's bits depend on the
+# row count.
+BLOCK_BYTES = 8 * 512 * 512
+
+
 # Edges per gather in the edge kernels: a block holds two EDGE_BLOCK x d row
 # slices (1.6 MB at d=100). Each edge's score is computed on its own, so the
 # block size does not change the output.
@@ -59,8 +67,13 @@ def relu(x: np.ndarray) -> np.ndarray:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # e = exp(-|x|) never overflows; 1/(1+e) for x >= 0 and e/(1+e) below.
     # np.minimum(x, -x) is -|x| except that it passes a NaN on with its sign.
-    e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # Both branches are written into e's array, so an N x M input needs two
+    # temporaries of its size beside the result.
+    e = np.minimum(x, -x)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    np.divide(e, d, out=e)
+    return np.divide(1.0, d, out=e, where=x >= 0)
 
 
 # Adam's moment decay rates and denominator offset.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import SparseGraph, as_edge_array, edge_keys
-from .linalg import edge_cosines
+from .linalg import BLOCK_BYTES, edge_cosines
 from .preprocess import feature_similarity
 
 
@@ -20,18 +20,10 @@ def embedding_similarity(h: np.ndarray, i: int, j: int) -> float:
     return feature_similarity(h[i], h[j], "cosine")
 
 
-# Bytes of one block of cosine rows: topk_insert computes each block into one
-# reused buffer and ranks it whole, and similarity_matrix stacks the same
-# blocks. The budget is 512² cosines so that a graph of at most 512 nodes is
-# one block, the single product of the full matrix, with its bits: for small
-# n the GEMM's bits depend on the row count.
-_BLOCK_BYTES = 8 * 512 * 512
-
-
 def _block_rows(n: int) -> int:
     """Rows per cosine block at n nodes: all n up to 512 nodes, else as many
-    as fit in _BLOCK_BYTES (87 at n=3000), and at least one."""
-    return max(1, min(n, _BLOCK_BYTES // (8 * max(n, 1))))
+    as fit in BLOCK_BYTES (87 at n=3000), and at least one."""
+    return max(1, min(n, BLOCK_BYTES // (8 * max(n, 1))))
 
 
 def similarity_matrix(h: np.ndarray) -> np.ndarray:
@@ -95,9 +87,9 @@ def topk_insert(retained: SparseGraph, h: np.ndarray, k: int) -> SparseGraph:
     """Directed union of the retained edges with each node's k most similar peers.
 
     Ties break toward the smaller candidate id. The cosines are computed in
-    blocks of at most _BLOCK_BYTES into one reused buffer, and each block is
+    blocks of at most BLOCK_BYTES into one reused buffer, and each block is
     ranked whole, so no n x n matrix is held: the working set is about
-    2 * _BLOCK_BYTES + 3 * rows * n bytes, rows = _block_rows(n). The result
+    2 * BLOCK_BYTES + 3 * rows * n bytes, rows = _block_rows(n). The result
     is directed: row i lists the aggregation sources of node i.
     """
     if k < 0:

@@ -1,4 +1,4 @@
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,15 +8,17 @@ from robustgsl.encoder import (
     PROB_CLIP,
     EncoderConfig,
     EncoderModel,
+    _changed_rows,
     _contrastive_epoch,
-    _view_delta,
+    _stacked_operand,
     contrastive_loss,
     init_encoder,
     shuffle_features,
+    shuffle_permutation,
     train_encoder,
 )
-from robustgsl.graph import renormalized_adjacency
-from robustgsl.linalg import adam_init, adam_step, grad_check, make_rng
+from robustgsl.graph import SparseGraph, renormalized_adjacency
+from robustgsl.linalg import BLOCK_BYTES, adam_init, adam_step, grad_check, make_rng
 from robustgsl.preprocess import ViewBundle, identical_views, make_views, random_perturb_views
 
 
@@ -246,6 +248,26 @@ def _products(bundle, x, seed=0):
     )
 
 
+def _view_delta(ax_base, ax_view):
+    """The indices of the rows where a view's dense A_hat X differs from the
+    base's, and those rows of the view: the oracle of _changed_rows."""
+    rows = np.flatnonzero((ax_view != ax_base).any(axis=1))
+    return rows, ax_view[rows]
+
+
+def _dense_stack(ax_base, ax_shuf, ax_views):
+    """The stacked operand and changed-row sets built from full dense
+    products: the oracle of _stacked_operand."""
+    deltas = [_view_delta(ax_base, ax) for ax in ax_views]
+    operand = np.concatenate((ax_base, ax_shuf, *(rows for _, rows in deltas)))
+    return operand, [changed for changed, _ in deltas]
+
+
+def _epoch_on_products(ax_base, ax_shuf, ax_views, activation, hidden):
+    """_contrastive_epoch on the operand stacked from dense products."""
+    return _contrastive_epoch(*_dense_stack(ax_base, ax_shuf, ax_views), activation, hidden)
+
+
 def _bits(loss, grads):
     return np.float64(loss).tobytes(), grads["w_enc"].tobytes(), grads["w_disc"].tobytes()
 
@@ -255,41 +277,144 @@ def _relative_error(got, want):
     return np.max(np.abs(np.subtract(got, want))) / np.max(np.abs(want))
 
 
-class TestViewDelta:
+def _stacked(bundle, x, negatives=None, perm=None):
+    """_stacked_operand on an instance: by default the shuffled rows are x
+    under the permutation that shuffle_features(x, 1) applies."""
+    if negatives is None:
+        negatives, perm = x, shuffle_permutation(len(x), 1)
+    return _stacked_operand(renormalized_adjacency(bundle.base), bundle.views, x, negatives, perm)
+
+
+def _sparse_binary(x, seed=1):
+    """Binary features with about 20 % ones, as in the SBM bundles."""
+    return (make_rng(seed).random(x.shape) < 0.2).astype(float)
+
+
+def _zero_on_changed_neighbour():
+    """A view whose one added edge (1, 4) changes every row of A_hat, on
+    features that are zero at nodes 1 and 4: rows 0, 2, 3 and 5 change in
+    A_hat only through a weight on node 1 or 4, so their A_hat X rows are
+    bit-equal to the base's; rows 1 and 4 reweight their other neighbours
+    and change."""
+    base = SparseGraph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (2, 5)])
+    view = SparseGraph.from_edges(6, [*base.edge_array().tolist(), (1, 4)])
+    x = np.ones((6, 3))
+    x[[1, 4]] = 0.0
+    return ViewBundle(base=base, views=[view]), x
+
+
+class TestStackedOperand:
     @pytest.mark.parametrize("kind", VIEW_KINDS)
-    def test_changed_rows_are_the_rows_that_differ(self, kind):
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_changed_rows_equal_dense_delta(self, kind, binary):
         bundle, x = _view_instance(kind, 3)
+        if binary:
+            x = _sparse_binary(x)
         ax_base, _, ax_views = _products(bundle, x)
         a_base = renormalized_adjacency(bundle.base)
         n = len(ax_base)
+        partial = 0
         for view, ax in zip(bundle.views, ax_views):
-            rows, ax_rows = _view_delta(ax_base, ax)
-            differ = [i for i in range(n) if np.any(ax[i] != ax_base[i])]
-            assert rows.tolist() == differ
-            assert ax_rows.tobytes() == ax[differ].tobytes()
-            # They are the rows of A_hat that the view's edges renormalize.
-            renormalized = (renormalized_adjacency(view) != a_base).getnnz(axis=1) > 0
-            assert rows.tolist() == np.flatnonzero(renormalized).tolist()
+            a_view = renormalized_adjacency(view)
+            rows = _changed_rows(a_view, a_base, x)
+            assert rows.tobytes() == _view_delta(ax_base, ax)[0].astype(rows.dtype).tobytes()
+            if not binary:
+                # With normal features they are the rows of A_hat that the
+                # view's edges renormalize.
+                renormalized = (a_view != a_base).getnnz(axis=1) > 0
+                assert rows.tolist() == np.flatnonzero(renormalized).tolist()
+            # A renormalized row keeps the columns that none of its changed
+            # neighbours has, and is kept when any column differs.
+            partial += np.count_nonzero(~(ax[rows] != ax_base[rows]).all(axis=1))
             if kind == "identical":
                 assert len(rows) == 0
-            elif kind == "random":
+            elif kind == "random" and not binary:
                 assert len(rows) == n
-            else:
+            elif kind == "recovery":
                 assert 0 < len(rows) < 0.1 * n
+        if binary and kind != "identical":
+            assert partial > 0
 
-    def test_row_that_differs_in_some_columns_is_changed(self):
-        # Sparse binary features, as in the SBM bundles: a renormalized row
-        # keeps the columns that none of its changed neighbours has.
-        bundle, x = _view_instance("recovery", 3)
-        x = (make_rng(1).random(x.shape) < 0.2).astype(float)
-        ax_base, _, ax_views = _products(bundle, x)
-        partial = 0
-        for ax in ax_views:
-            rows, _ = _view_delta(ax_base, ax)
-            differ = ax != ax_base
-            assert rows.tolist() == np.flatnonzero(differ.any(axis=1)).tolist()
-            partial += np.count_nonzero(~differ[rows].all(axis=1))
-        assert partial > 0
+    @pytest.mark.parametrize("kind", VIEW_KINDS)
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_operand_equals_dense_stack(self, kind, binary):
+        bundle, x = _view_instance(kind, 3)
+        if binary:
+            x = _sparse_binary(x)
+        operand, changed = _stacked(bundle, x)
+        want, want_changed = _dense_stack(*_products(bundle, x))
+        assert operand.shape == want.shape
+        assert operand.tobytes() == want.tobytes()
+        assert [c.tolist() for c in changed] == [c.tolist() for c in want_changed]
+
+    def test_given_negatives_are_stacked_as_given(self):
+        # contrastive_loss's shuffled copy, under the identity permutation.
+        bundle, x = _view_instance("recovery", 2)
+        shuffled = shuffle_features(x, 1)
+        operand, _ = _stacked(bundle, x, shuffled, np.arange(len(x)))
+        assert operand.tobytes() == _stacked(bundle, x)[0].tobytes()
+
+    def test_row_whose_product_does_not_change_is_not_stacked(self):
+        bundle, x = _zero_on_changed_neighbour()
+        a_base, a_view = (renormalized_adjacency(g) for g in (bundle.base, bundle.views[0]))
+        assert np.flatnonzero((a_view != a_base).getnnz(axis=1)).tolist() == [0, 1, 2, 3, 4, 5]
+        assert _changed_rows(a_view, a_base, x).tolist() == [1, 4]
+        operand, changed = _stacked(bundle, x)
+        want, want_changed = _dense_stack(*_products(bundle, x))
+        assert [c.tolist() for c in changed] == [c.tolist() for c in want_changed] == [[1, 4]]
+        assert operand.tobytes() == want.tobytes()
+
+    def test_rows_written_in_blocks(self):
+        # Wide enough features that every product spans several blocks.
+        bundle, _ = _view_instance("random", 2)
+        x = make_rng(4).normal(size=(bundle.base.num_nodes, BLOCK_BYTES // (8 * 7)))
+        operand, _ = _stacked(bundle, x)
+        assert operand.tobytes() == _dense_stack(*_products(bundle, x))[0].tobytes()
+
+    def test_build_holds_operand_and_one_block(self):
+        # No N x d product besides the operand: the build's traced peak is the
+        # operand, one block being written and the sparse matrices (the two
+        # blocks that find the changed rows come before the operand).
+        bundle, x = _view_instance("random", 3)
+        x = make_rng(5).normal(size=(len(x), 8000))
+        a_base = renormalized_adjacency(bundle.base)
+        perm = shuffle_permutation(len(x), 1)
+        tracemalloc.start()
+        try:
+            operand, _ = _stacked_operand(a_base, bundle.views, x, x, perm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slack = 2**16
+        assert x.nbytes > BLOCK_BYTES + slack
+        assert peak <= operand.nbytes + BLOCK_BYTES + slack
+
+
+class TestTrainEncoderMemory:
+    def test_in_call_peak_is_epoch_buffers_and_one_block(self):
+        # N x d = 2.4 MB: an N x d product alive beside the epoch's buffers,
+        # as the base and shuffled products were, breaks the bound.
+        n, d, h, m = 1000, 300, 32, 2
+        rng = make_rng(0)
+        base = random_undirected_graph(n, 0.004, rng)
+        present = base.edge_set()
+        removed = set()
+        while len(removed) < 30:
+            u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+            if (u, v) not in present:
+                removed.add((u, v))
+        bundle = make_views(base, removed, 0.5, m, 0)
+        x = _sparse_binary(np.empty((n, d)), seed=0)
+        r = len(_stacked(bundle, x)[0])
+        epoch_buffers = r * d * 8 + r * h * 8 + r * h + r * 2 * m * 8  # operand, act, mask, left
+        tracemalloc.start()
+        try:
+            train_encoder(bundle, x, EncoderConfig(hidden=h, epochs=3), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.nbytes >= 2**20
+        assert peak <= epoch_buffers + BLOCK_BYTES + 2**18
 
 
 class TestContrastiveEpoch:
@@ -300,7 +425,7 @@ class TestContrastiveEpoch:
         bundle, x = _view_instance(kind, num_views)
         ax_base, ax_shuf, ax_views = _products(bundle, x)
         h = 5
-        epoch = _contrastive_epoch(ax_base, ax_shuf, ax_views, activation, h)
+        epoch = _epoch_on_products(ax_base, ax_shuf, ax_views, activation, h)
         rng = make_rng(num_views)
         for call in range(4):
             # Fresh weights on every call: stale buffer state would show.
@@ -316,7 +441,7 @@ class TestContrastiveEpoch:
 
     def test_returned_gradients_survive_next_call(self):
         ax_base, ax_shuf, ax_views = _products(*_view_instance("random", 2))
-        epoch = _contrastive_epoch(ax_base, ax_shuf, ax_views, "relu", 4)
+        epoch = _epoch_on_products(ax_base, ax_shuf, ax_views, "relu", 4)
         rng = make_rng(3)
         w1 = rng.normal(size=(7, 4)), rng.normal(size=(4, 4))
         loss1, grads1 = epoch(*w1)
@@ -325,30 +450,10 @@ class TestContrastiveEpoch:
         assert _bits(loss1, grads1) == kept
         assert _bits(*epoch(*w1)) == kept
 
-    def test_views_consumed_one_at_a_time(self):
-        # A generator of view products keeps one alive: the epoch keeps each
-        # product's changed rows and drops the product before drawing the next.
-        ax_base, ax_shuf, ax_views = _products(*_view_instance("recovery", 3))
-        drawn = []
-
-        def views():
-            for ax in ax_views:
-                assert all(ref() is None for ref in drawn)
-                product = ax.copy()
-                drawn.append(weakref.ref(product))
-                yield product
-                del product
-
-        epoch = _contrastive_epoch(ax_base, ax_shuf, views(), "relu", 4)
-        assert len(drawn) == 3 and all(ref() is None for ref in drawn)
-        w = make_rng(2).normal(size=(7, 4)), make_rng(3).normal(size=(4, 4))
-        want = _contrastive_epoch(ax_base, ax_shuf, ax_views, "relu", 4)
-        assert _bits(*epoch(*w)) == _bits(*want(*w))
-
     def test_unknown_activation(self):
         ax_base, ax_shuf, ax_views = _products(*_view_instance("random", 1))
         with pytest.raises(ValueError, match="activation"):
-            _contrastive_epoch(ax_base, ax_shuf, ax_views, "tanh", 4)
+            _epoch_on_products(ax_base, ax_shuf, ax_views, "tanh", 4)
 
 
 def _loop_start(bundle, x, config, seed):
@@ -388,7 +493,7 @@ def _train_encoder_against_loop(activation, lr):
     model, emb, z = train_encoder(bundle, x, config, seed=4)
 
     params, ax_base, ax_shuf, ax_views = _loop_start(bundle, x, config, 4)
-    epoch = _contrastive_epoch(ax_base, ax_shuf, ax_views, activation, config.hidden)
+    epoch = _epoch_on_products(ax_base, ax_shuf, ax_views, activation, config.hidden)
     best, epochs_run = _adam_loop(epoch, params, config)
     want_z = ax_base @ best["w_enc"]
     want_emb = np.maximum(want_z, 0.0) if activation == "relu" else want_z
@@ -417,7 +522,7 @@ class TestTrainEncoderLoop:
         bundle, x = _view_instance(kind, 3)
         config = EncoderConfig(hidden=4, epochs=60, patience=60, activation=activation)
         params, ax_base, ax_shuf, ax_views = _loop_start(bundle, x, config, 4)
-        epoch = _contrastive_epoch(ax_base, ax_shuf, ax_views, activation, config.hidden)
+        epoch = _epoch_on_products(ax_base, ax_shuf, ax_views, activation, config.hidden)
         got, got_epochs = _adam_loop(epoch, dict(params), config)
 
         def reference(w_enc, w_disc):

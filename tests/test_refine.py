@@ -5,9 +5,8 @@ import pytest
 
 from conftest import random_undirected_graph
 from robustgsl.graph import SparseGraph
-from robustgsl.linalg import EDGE_BLOCK, edge_cosines, make_rng
+from robustgsl.linalg import BLOCK_BYTES, EDGE_BLOCK, edge_cosines, make_rng
 from robustgsl.refine import (
-    _BLOCK_BYTES,
     _block_rows,
     _normalized_rows,
     _topk_columns,
@@ -223,7 +222,7 @@ class TestTopkInsert:
 
     def test_working_set_bounded(self):
         # The block buffer and one block's partition copy (at most
-        # _BLOCK_BYTES each), the block's boolean masks, and 1 MiB.
+        # BLOCK_BYTES each), the block's boolean masks, and 1 MiB.
         # The copy is freed before the masks are made, so the masks' share
         # and the 1 MiB hold the normalized embeddings (1.5 MB here) and the
         # edges. One 512 x n block alone (12 MB at n=3000) would exceed this.
@@ -236,7 +235,7 @@ class TestTopkInsert:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * _BLOCK_BYTES + 3 * _block_rows(n) * n + 2**20
+        assert peak < 2 * BLOCK_BYTES + 3 * _block_rows(n) * n + 2**20
 
     @pytest.mark.parametrize("rows", [9, 11])
     def test_embedding_row_count_checked(self, rows, rng):
