@@ -43,6 +43,7 @@ from .pipeline import (
     VARIANTS,
     PipelineConfig,
     classify_stage,
+    override,
     preprocess_stage,
     refine_stage,
     run_experiment,
@@ -115,40 +116,36 @@ FIELD_RULES = {
 }
 
 
-def _load_config(path: str | None) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
-    raw = read_json(path)
-    try:
-        # A file's value is parsed as the flag's text would be, so 1.5 is no integer.
-        for key, rule in FIELD_RULES.items():
-            section, _, name = key.rpartition(".")
-            fields = raw.get(section, {}) if section else raw
-            if name in fields:
-                fields[name] = rule(str(fields[name]))
-        return PipelineConfig.from_dict(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"config {path}: {key} {exc}") from exc
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"cannot load config {path}: {exc}") from exc
+def _config(args) -> PipelineConfig:
+    """The defaults, then the values of the --config file (if the command takes
+    one) by dotted key, each parsed as the flag's text would be (so 1.5 is no
+    integer), then each flag that was given, applied by one override."""
+    path = getattr(args, "config", None)
+    sections = {key.rpartition(".")[0] for key in FIELD_RULES} - {""}  # each an object in the file
 
+    def items(obj, section=""):
+        if not isinstance(obj, dict):
+            raise ValueError(f"cannot load config {path}: {section or 'the file'} must be a JSON object")
+        for name, value in obj.items():
+            key = f"{section}.{name}" if section else name
+            yield from items(value, key) if key in sections else [(key, value)]
 
-def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
-    """Set each field whose flag was given; an unset flag keeps config's value."""
-    for key in FIELD_RULES:
-        value = getattr(args, key, None)
-        if value is not None:
-            section, _, name = key.rpartition(".")
-            setattr(getattr(config, section) if section else config, name, value)
-    return config
+    changes = {}
+    for key, value in items(read_json(path)) if path else ():
+        if key not in FIELD_RULES:
+            raise ValueError(f"cannot load config {path}: {key} is not a config key")
+        try:
+            changes[key] = FIELD_RULES[key](str(value))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"config {path}: {key} {exc}") from exc
+    changes.update((key, v) for key in FIELD_RULES if (v := getattr(args, key, None)) is not None)
+    return override(PipelineConfig(), changes)
 
 
 def _experiment_inputs(args) -> tuple:
-    """The bundle, the configuration with its flags applied, and the seeds
-    (--seed, --seed + 1, ..., --seeds of them) of an experiment command."""
-    bundle = load_graph_bundle(args.in_dir)
-    config = _apply_overrides(_load_config(args.config), args)
-    return bundle, config, list(range(args.seed, args.seed + args.seeds))
+    """The bundle, the configuration (_config) and the seeds (--seed,
+    --seed + 1, ..., --seeds of them) of an experiment command."""
+    return load_graph_bundle(args.in_dir), _config(args), list(range(args.seed, args.seed + args.seeds))
 
 
 def cmd_synth(args) -> int:
@@ -191,7 +188,7 @@ def cmd_preprocess(args) -> int:
     d = Path(args.in_dir)
     features = load_features(d / "features.txt")
     graph = load_edges(d / "edges.tsv", len(features))
-    config = _apply_overrides(PipelineConfig(), args)
+    config = _config(args)
     base, removed, views = preprocess_stage(graph, features, config, args.seed)
     out = Path(args.out)
     save_edges(base, out / "preprocessed_edges.tsv")
@@ -237,7 +234,7 @@ def _preactivation_path(embeddings_path) -> Path:
 def cmd_embed(args) -> int:
     features = load_features(Path(args.in_dir) / "features.txt")
     views = _load_view_bundle(Path(args.pre), len(features))
-    config = _apply_overrides(PipelineConfig(), args)
+    config = _config(args)
     _, embeddings, z = train_encoder(views, features, config.encoder, args.seed)
     save_features(embeddings, args.out)
     z_path = _preactivation_path(args.out)
@@ -250,7 +247,7 @@ def cmd_refine(args) -> int:
     d, pre = Path(args.in_dir), Path(args.pre)
     n = load_num_nodes(d / "features.txt")
     base = load_edges(pre / "preprocessed_edges.tsv", n)
-    config = _apply_overrides(PipelineConfig(), args)
+    config = _config(args)
     # refine_stage measures similarity on the pre-activation, with no fallback
     # to the embeddings. A missing file exits with code 2 and names it.
     z = load_features(_preactivation_path(args.embeddings), n)
@@ -284,7 +281,7 @@ def cmd_train(args) -> int:
     split = load_split(d / "split.json", labels)
     graph = load_edges(args.graph, n, directed=True) if args.graph else load_edges(d / "edges.tsv", n)
     h0 = load_features(args.embeddings or d / "features.txt", n)
-    config = _apply_overrides(PipelineConfig(), args)
+    config = _config(args)
     model, test_acc = classify_stage(graph, h0, labels, split, config, args.seed)
     print(f"test accuracy {test_acc:.4f}")
     if args.out:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from .refine import prune_edges, topk_insert
 
 AUGMENTATIONS = ("recovery", "random", "none")
 
-# Each ablation switches off one part of the pipeline through PipelineConfig
-# overrides.
+# Each ablation switches off one part of the pipeline through the dotted-key
+# changes that override applies to the configured PipelineConfig.
 VARIANTS = {
     "full": {},
     "no-preprocess": {"augmentation": "random", "t1": -math.inf},  # no score is below -inf
@@ -55,12 +55,20 @@ class PipelineConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PipelineConfig":
-        raw = dict(raw)
-        enc = EncoderConfig(**raw.pop("encoder", {}))
-        clf = ClassifierConfig(**raw.pop("classifier", {}))
-        return cls(encoder=enc, classifier=clf, **raw)
+
+def override(config: PipelineConfig, changes: dict) -> PipelineConfig:
+    """A copy of config with the field at each dotted key of changes ("k",
+    "encoder.epochs") set to its value; a nested config that a key changes is
+    copied, never mutated. A key that names no field raises ValueError."""
+    sections = {f.name for f in fields(config) if is_dataclass(getattr(config, f.name))}
+    grouped: dict = {}
+    for key, value in changes.items():
+        section, _, name = key.rpartition(".")
+        owner = config if not section else getattr(config, section) if section in sections else None
+        if owner is None or name in sections or name not in {f.name for f in fields(owner)}:
+            raise ValueError(f"unknown config key {key!r}")
+        grouped.setdefault(section, {})[name] = value
+    return replace(config, **grouped.pop("", {}), **{s: replace(getattr(config, s), **v) for s, v in grouped.items()})
 
 
 @dataclass
@@ -140,7 +148,7 @@ def run_variant(
 ) -> PipelineRun:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {tuple(VARIANTS)}")
-    config = replace(config, **VARIANTS[variant])
+    config = override(config, VARIANTS[variant])
     rng = make_rng(seed)
     view_seed, encoder_seed, classifier_seed = (int(rng.integers(2 ** 63)) for _ in range(3))
 
@@ -179,7 +187,7 @@ def run_pipeline(bundle: GraphBundle, config: PipelineConfig, seed: int) -> Pipe
 def run_gcn_baseline(bundle: GraphBundle, config: PipelineConfig, seed: int) -> float:
     """Vanilla two-layer GCN on the input graph with raw features; the
     vanilla mode ignores alpha and beta."""
-    vanilla = replace(config, classifier_mode="vanilla")
+    vanilla = override(config, {"classifier_mode": "vanilla"})
     return classify_stage(bundle.graph, bundle.features, bundle.labels, bundle.split, vanilla, seed)[1]
 
 
@@ -229,7 +237,7 @@ def sweep(
         raise ValueError(f"cannot sweep {param!r}, expected one of {SWEEPABLE}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    configs = [replace(config, **{param: value}) for value in values]
+    configs = [override(config, {param: value}) for value in values]
     for c in configs:
         _rough_stage(bundle.graph, bundle.features, c)
     rows = []

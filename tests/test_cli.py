@@ -619,8 +619,16 @@ class TestErrorExitCodes:
         cfg.write_text("{not json")
         assert main(["pipeline", "--in", str(poisoned_dir), "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("text", ['{"bogus": 1}', '{"encoder": 5}', "[1]"])
-    def test_config_of_wrong_shape(self, poisoned_dir, tmp_path, text, monkeypatch, capsys):
+    WRONG_SHAPES = [
+        ('{"bogus": 1}', "bogus is not a config key"),
+        ('{"encoder": 5}', "encoder must be a JSON object"),
+        ("[1]", "the file must be a JSON object"),
+        ('{"encoder": "hidden"}', "encoder must be a JSON object"),
+        ('{"encoder": {"hiden": 3}}', "encoder.hiden is not a config key"),
+    ]
+
+    @pytest.mark.parametrize("text, named", WRONG_SHAPES, ids=[text for text, _ in WRONG_SHAPES])
+    def test_config_of_wrong_shape(self, poisoned_dir, tmp_path, text, named, monkeypatch, capsys):
         def no_training(*args, **kwargs):
             raise AssertionError("pipeline trained an encoder on a config it could not load")
 
@@ -628,7 +636,7 @@ class TestErrorExitCodes:
         cfg = tmp_path / "config.json"
         cfg.write_text(text)
         assert main(["pipeline", "--in", str(poisoned_dir), "--config", str(cfg)]) == 2
-        assert f"cannot load config {cfg}" in capsys.readouterr().err
+        assert f"cannot load config {cfg}: {named}" in capsys.readouterr().err
 
     def test_numeric_failure_exits_3(self, poisoned_dir, monkeypatch, capsys):
         def diverge(*args, **kwargs):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 from conftest import pairs
 from robustgsl.attack import AttackBudget, dice_attack, random_attack
-from robustgsl.data_io import GraphBundle, SbmSpec, generate_sbm
-from robustgsl.encoder import EncoderConfig
+from robustgsl.cli import main
+from robustgsl.data_io import GraphBundle, SbmSpec, generate_sbm, read_report, save_graph_bundle
+from robustgsl.encoder import EncoderConfig, train_encoder
 from robustgsl.graph import SparseGraph
 from robustgsl.classifier import ClassifierConfig
 from robustgsl.preprocess import rough_preprocess
@@ -17,6 +19,7 @@ from robustgsl import pipeline
 from robustgsl.pipeline import (
     VARIANTS,
     PipelineConfig,
+    override,
     preprocess_stage,
     run_experiment,
     run_gcn_baseline,
@@ -230,10 +233,50 @@ class TestSweep:
             sweep(sbm, fast_config(), "k", [0], seeds=[])
 
 
+class TestOverride:
+    def test_sets_a_nested_key(self):
+        config = override(fast_config(), {"k": 3, "encoder.epochs": 7, "classifier.lr": 0.5})
+        assert (config.k, config.encoder.epochs, config.classifier.lr) == (3, 7, 0.5)
+        assert config.encoder == dataclasses.replace(fast_config().encoder, epochs=7)
+
+    def test_leaves_the_callers_configs_unchanged(self):
+        config = fast_config()
+        encoder, classifier = config.encoder, config.classifier
+        changed = override(config, {"t2": 0.5, "encoder.hidden": 3, "classifier.epochs": 4})
+        assert config == fast_config()
+        assert config.encoder is encoder and config.classifier is classifier
+        assert changed.encoder is not encoder and changed.classifier is not classifier
+
+    @pytest.mark.parametrize(
+        "key", ["bogus", "encoder.hiden", "encoder", "classifier", "k.x", "encoder.hidden.x", "classifier.alpha", ""]
+    )
+    def test_unknown_key_is_named(self, key):
+        with pytest.raises(ValueError, match=f"unknown config key {key!r}"):
+            override(PipelineConfig(), {"k": 3, key: 1})
+
+    def test_variant_sets_an_encoder_field(self, sbm, monkeypatch):
+        # A VARIANTS entry is a set of dotted keys, so a variant can change the encoder's config.
+        configs = []
+
+        def spy(views, features, config, seed):
+            configs.append(config)
+            return train_encoder(views, features, config, seed)
+
+        monkeypatch.setitem(VARIANTS, "t", {"encoder.epochs": 1})
+        monkeypatch.setattr(pipeline, "train_encoder", spy)
+        run_variant(sbm, fast_config(), "t", seed=0)
+        assert configs == [dataclasses.replace(fast_config().encoder, epochs=1)]
+
+
 class TestConfigSerialization:
-    def test_roundtrip(self):
-        config = fast_config(t1=0.1, k=9, classifier_mode="advanced")
-        assert PipelineConfig.from_dict(dataclasses.asdict(config)) == config
+    def test_roundtrip(self, sbm, tmp_path):
+        # Every field of a --config file reaches the run: the report records the file's config.
+        config = fast_config(t1=0.1, k=9, beta=1.5, classifier_mode="vanilla")
+        save_graph_bundle(sbm, tmp_path / "bundle")
+        (tmp_path / "config.json").write_text(json.dumps(dataclasses.asdict(config)))
+        argv = ["pipeline", "--in", str(tmp_path / "bundle"), "--config", str(tmp_path / "config.json")]
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+        assert read_report(tmp_path / "run" / "report.json")["config"] == dataclasses.asdict(config)
 
     def test_defaults(self):
         config = PipelineConfig()
